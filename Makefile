@@ -2,7 +2,7 @@
 PYTHON ?= python
 export PYTHONPATH := src
 
-.PHONY: test bench-smoke bench-engine install dev-install clean
+.PHONY: test bench-smoke bench-engine bench-selftest install dev-install clean
 
 test:
 	$(PYTHON) -m pytest -x -q
@@ -14,6 +14,11 @@ bench-smoke:
 
 bench-engine:
 	$(PYTHON) benchmarks/bench_engine.py --json BENCH_engine.json
+
+# Self-test of the served-fleet benchmark in perfbench/ (outside the
+# tier-1 testpaths): tiny runs of every workload, untraced and traced.
+bench-selftest:
+	$(PYTHON) -m pytest -q perfbench
 
 install:
 	pip install .

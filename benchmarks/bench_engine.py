@@ -55,16 +55,14 @@ Measures, on one synthetic Zipf stream:
    importable on full runs; reported-only under ``--smoke`` and on
    hosts without numba;
 10. **sampler kernels** (section 2b) — the counter-RNG sampler race:
-   both sampler kinds ingest the same stream through the pre-PR
-   Python path (a per-element loop drawing from the legacy stateful
-   pcg64 generator), the counter-scheme per-element loop, and the
-   counter-scheme batched path under every loadable kernel backend,
-   with every batched state checked for **exact state identity**
-   (full snapshot equality) against the numpy oracle and the scalar
-   loop.  The >= 5x batched-numpy-over-legacy bar is enforced for
-   the fast-query sample-count variant and naive-sampling whenever
-   numba is importable; the plain sample-count tracker is reported
-   unenforced.
+   both sampler kinds ingest the same stream through the per-element
+   insert loop and the batched path under every loadable kernel
+   backend, with every batched state checked for **exact state
+   identity** (full snapshot equality) against the numpy oracle and
+   the per-element loop.  The >= 5x batched-numpy-over-loop bar is
+   enforced for the fast-query sample-count variant and
+   naive-sampling whenever numba is importable; the plain
+   sample-count tracker is reported unenforced.
 
 The acceptance bar (ISSUE 1): batched ingestion at least 10x faster
 than the per-element loop on a million-element stream, and the sharded
@@ -84,10 +82,10 @@ bit-identical to an in-process service (reported but not enforced
 under ``--smoke``).  ISSUE 7 adds the fault-tolerance bar: with one
 replica stalled, hedged query p99 at least 5x better than unhedged
 (enforced on full runs; reported under ``--smoke``), and recovery
-from a killed replica bit-identical.  ISSUE 10 adds the sampler bar:
-counter-scheme batched sampler ingest at least 5x the legacy pcg64
-per-element loop for samplecount-fast and naivesampling when numba is
-importable, with all ingest routes landing on identical snapshots.
+from a killed replica bit-identical.  The sampler bar: batched
+sampler ingest at least 5x the per-element insert loop for
+samplecount-fast and naivesampling when numba is importable, with all
+ingest routes landing on identical snapshots.
 The script exits non-zero if any check fails.
 
 ``--json PATH`` additionally writes a machine-readable summary
@@ -1045,17 +1043,16 @@ def ingest_section(args, n: int) -> tuple[list[str], dict]:
 
 
 def sampler_section(args, n: int) -> tuple[list[str], dict]:
-    """Section 2b: counter-RNG sampler ingest race (ISSUE 10).
+    """Section 2b: counter-RNG sampler ingest race.
 
-    Races the two sampler kinds' bulk ingest against the pre-PR Python
-    path — a per-element insert loop drawing from the legacy stateful
-    pcg64 generator — then runs the counter-scheme batched path under
-    every loadable kernel backend, asserting **exact state identity**
-    (full ``to_dict`` equality) against the numpy oracle for each
-    compiled backend and against the counter per-element loop (the
-    three ingest routes must land on the same integers).
+    Races the two sampler kinds' batched ingest under every loadable
+    kernel backend against the per-element insert loop, asserting
+    **exact state identity** (full ``to_dict`` equality) against the
+    numpy oracle for each compiled backend and against the
+    per-element loop (every ingest route must land on the same
+    integers).
 
-    The >= 5x batched-numpy-over-legacy bar is enforced for the
+    The >= 5x batched-numpy-over-loop bar is enforced for the
     fast-query sample-count variant and for naive-sampling whenever
     numba is importable (the compiled-toolchain CI lane); the plain
     sample-count tracker is reported unenforced — its per-event sample
@@ -1076,32 +1073,28 @@ def sampler_section(args, n: int) -> tuple[list[str], dict]:
         (
             "samplecount",
             False,
-            lambda scheme: SampleCountSketch(
-                args.s1, args.s2, seed=args.seed, initial_range=n,
-                rng_scheme=scheme,
+            lambda: SampleCountSketch(
+                args.s1, args.s2, seed=args.seed, initial_range=n
             ),
         ),
         (
             "samplecount-fast",
             True,
-            lambda scheme: SampleCountFastQuery(
-                args.s1, args.s2, seed=args.seed, initial_range=n,
-                rng_scheme=scheme,
+            lambda: SampleCountFastQuery(
+                args.s1, args.s2, seed=args.seed, initial_range=n
             ),
         ),
         (
             "naivesampling",
             True,
-            lambda scheme: NaiveSamplingEstimator(
-                s=args.s1 * args.s2, seed=args.seed, rng_scheme=scheme
-            ),
+            lambda: NaiveSamplingEstimator(s=args.s1 * args.s2, seed=args.seed),
         ),
     ]
 
     prior = kernels.active_backend()
     backends = list(kernels.available_backends())  # numpy is always first
     numba_present = importlib.util.find_spec("numba") is not None
-    print("sampler ingest race (counter RNG vs legacy pcg64 loop)")
+    print("sampler ingest race (counter RNG, batched vs per-element loop)")
     print(f"  backends available: {', '.join(backends)} (active: {prior})")
     section: dict = {"backends": backends, "kinds": {}}
     try:
@@ -1113,19 +1106,16 @@ def sampler_section(args, n: int) -> tuple[list[str], dict]:
             return run
 
         for name, gated, build in kinds:
-            legacy = build("pcg64")
-            t_legacy, _ = timed(insert_loop(legacy))
-
-            scalar = build("counter")
+            scalar = build()
             t_scalar, _ = timed(insert_loop(scalar))
 
             batched_s: dict[str, float] = {}
             states: dict[str, dict] = {}
             for backend in backends:
                 kernels.set_backend(backend)
-                warm = build("counter")
+                warm = build()
                 warm.update_from_stream(values[:256])
-                sk = build("counter")
+                sk = build()
                 t, _ = timed(lambda sk=sk: sk.update_from_stream(values))
                 batched_s[backend] = t
                 states[backend] = sk.to_dict()
@@ -1133,7 +1123,7 @@ def sampler_section(args, n: int) -> tuple[list[str], dict]:
 
             if scalar.to_dict() != states["numpy"]:
                 failures.append(
-                    f"samplers: {name} counter scalar loop != batched state"
+                    f"samplers: {name} per-element loop != batched state"
                 )
             for backend, state in states.items():
                 if state != states["numpy"]:
@@ -1142,27 +1132,24 @@ def sampler_section(args, n: int) -> tuple[list[str], dict]:
                     )
 
             speedup = (
-                t_legacy / batched_s["numpy"]
+                t_scalar / batched_s["numpy"]
                 if batched_s["numpy"]
                 else float("inf")
             )
             entry = {
-                "legacy_loop_s": t_legacy,
                 "counter_scalar_s": t_scalar,
                 "batched_s": batched_s,
-                "batched_speedup_vs_legacy": speedup,
+                "batched_speedup": speedup,
                 "gated": gated,
             }
             print(f"  {name}")
-            print(f"    legacy pcg64 loop  {t_legacy:8.3f} s  "
-                  f"{throughput(n, t_legacy)}")
-            print(f"    counter loop       {t_scalar:8.3f} s  "
+            print(f"    per-element loop   {t_scalar:8.3f} s  "
                   f"{throughput(n, t_scalar)}")
             for backend in backends:
                 t = batched_s[backend]
                 print(f"    batched {backend:>7}    {t:8.3f} s  "
                       f"{throughput(n, t)}")
-            print(f"    numpy-batched over legacy loop: {speedup:.1f}x"
+            print(f"    numpy-batched over per-element loop: {speedup:.1f}x"
                   + ("" if gated else "  (reported, not gated)"))
             compiled = {b: batched_s[b] for b in backends if b != "numpy"}
             if compiled:
@@ -1493,7 +1480,7 @@ def main(argv=None) -> int:
         "batched_meps": n / t_sc_batch / 1e6 if t_sc_batch else float("inf"),
     }
 
-    # 2b. counter-RNG sampler race vs the legacy pcg64 loop (ISSUE 10).
+    # 2b. counter-RNG sampler race: batched vs the per-element loop.
     # Full-size even under --quick: the reservoir's O(k log n) accept
     # count amortises only at scale, so a 100k stream would measure
     # nothing (same reasoning as the wire section's floor).

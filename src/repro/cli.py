@@ -427,11 +427,9 @@ def _describe_sketch(sketch, path: str) -> str:
     """One-line human summary of a loaded sketch."""
     n = getattr(sketch, "n", None)
     size = "" if n is None else f", n={n:,}"
-    scheme = getattr(sketch, "rng_scheme", None)
-    rng = "" if scheme is None else f", rng={scheme}"
     return (
         f"{path}: kind={sketch.kind}, words={sketch.memory_words:,}{size}"
-        f"{rng}, estimate={sketch.estimate():,.1f}"
+        f", estimate={sketch.estimate():,.1f}"
     )
 
 
@@ -532,12 +530,6 @@ def _sketch_main(args) -> int:
         print(
             f"kernel backend: {info['active']} "
             f"(available: {', '.join(info['available'])})"
-        )
-        from .streams.reservoir import DEFAULT_SAMPLER_RNG
-
-        print(
-            f"sampler rng: {DEFAULT_SAMPLER_RNG} "
-            "(legacy pcg64 snapshots load and continue)"
         )
         return 0
 
@@ -1029,13 +1021,11 @@ def _serve_main(args) -> int:
         else ""
     )
     from .kernels import active_backend
-    from .streams.reservoir import DEFAULT_SAMPLER_RNG
 
     print(
         f"serving {args.path} on {host}:{port} "
         f"(kind={store.spec.kind}{keyed}, spans={store.span_count}, "
-        f"protocol={args.protocol}, kernel={active_backend()}, "
-        f"sampler_rng={DEFAULT_SAMPLER_RNG})",
+        f"protocol={args.protocol}, kernel={active_backend()})",
         flush=True,
     )
     try:
@@ -1102,15 +1092,13 @@ def _serve_cluster(args, store, read_timeout) -> int:
             raise CliError(str(exc)) from exc
         host, port = server.server_address[:2]
         from .kernels import active_backend
-        from .streams.reservoir import DEFAULT_SAMPLER_RNG
 
         print(
             f"serving {args.path} on {host}:{port} "
             f"(kind={store.spec.kind}, protocol={args.protocol}, "
             f"shards={cluster.num_shards}, "
             f"replication={cluster.replication}, "
-            f"kernel={active_backend()}, "
-            f"sampler_rng={DEFAULT_SAMPLER_RNG}: "
+            f"kernel={active_backend()}: "
             f"{', '.join(cluster.addresses)})",
             flush=True,
         )

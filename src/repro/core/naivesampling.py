@@ -34,7 +34,7 @@ from typing import Iterable
 
 import numpy as np
 
-from ..engine.protocol import Sketch, as_histogram
+from ..engine.protocol import EXPAND_MAX, Sketch, as_histogram, expand_histogram
 from ..engine.registry import register_sketch
 from ..streams.reservoir import ReservoirSample
 
@@ -78,12 +78,8 @@ class NaiveSamplingEstimator(Sketch):
     s:
         Sample size (the storage budget in memory words).
     seed:
-        RNG seed for the reservoir.
-    rng_scheme:
-        ``"counter"`` (default) draws from the position-keyed counter
-        RNG so bulk ingest runs through the compiled reservoir-chain
-        kernel; ``"pcg64"`` is the legacy stateful scheme, kept so old
-        snapshots load and continue draw for draw.
+        Seed of the reservoir's position-keyed counter RNG, which lets
+        bulk ingest run through the compiled reservoir-chain kernel.
 
     Notes
     -----
@@ -99,26 +95,15 @@ class NaiveSamplingEstimator(Sketch):
         "insertion-only, not mergeable"
     )
 
-    #: Histogram entries with counts at most this expand through the
-    #: vectorised ``np.repeat`` path; larger counts use the reservoir's
-    #: arithmetic repeat jumps (identical draws either way).
-    _EXPAND_MAX = 1 << 16
+    #: Histogram entries with counts above this take the reservoir's
+    #: arithmetic repeat jumps instead of expansion (same draws).
+    _EXPAND_MAX = EXPAND_MAX
 
-    #: Target expanded-buffer size per bulk flush.
-    _EXPAND_CHUNK = 1 << 17
-
-    def __init__(
-        self, s: int, seed: int | None = None, rng_scheme: str = "counter"
-    ):
+    def __init__(self, s: int, seed: int | None = None):
         if s < 1:
             raise ValueError(f"sample size s must be >= 1, got {s}")
         self.s = int(s)
-        self._reservoir = ReservoirSample(self.s, seed=seed, scheme=rng_scheme)
-
-    @property
-    def rng_scheme(self) -> str:
-        """The RNG scheme the reservoir draws from."""
-        return self._reservoir.scheme
+        self._reservoir = ReservoirSample(self.s, seed=seed)
 
     def insert(self, value: int) -> None:
         """Offer one stream element to the reservoir."""
@@ -161,36 +146,11 @@ class NaiveSamplingEstimator(Sketch):
             raise NotImplementedError(
                 "naive-sampling is defined for insertion-only sequences (Section 2.3)"
             )
-        pend_vals: list[int] = []
-        pend_cnts: list[int] = []
-        pending = 0
-
-        def flush() -> None:
-            nonlocal pending
-            if not pend_vals:
-                return
-            expanded = np.repeat(
-                np.asarray(pend_vals, dtype=np.int64),
-                np.asarray(pend_cnts, dtype=np.int64),
-            )
-            self._reservoir.offer_array(expanded)
-            pend_vals.clear()
-            pend_cnts.clear()
-            pending = 0
-
-        for v, c in zip(vals.tolist(), cnts.tolist()):
-            if c == 0:
-                continue
-            if c > self._EXPAND_MAX:
-                flush()
-                self._reservoir.offer_repeated(v, c)
-                continue
-            pend_vals.append(v)
-            pend_cnts.append(c)
-            pending += c
-            if pending >= self._EXPAND_CHUNK:
-                flush()
-        flush()
+        for piece in expand_histogram(vals, cnts, self._EXPAND_MAX):
+            if isinstance(piece, tuple):
+                self._reservoir.offer_repeated(*piece)
+            else:
+                self._reservoir.offer_array(piece)
 
     def estimate(self) -> float:
         """Histogram the sample, compute SJ(S), scale up (Section 2.3)."""

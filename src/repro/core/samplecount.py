@@ -60,8 +60,8 @@ from typing import Iterable
 
 import numpy as np
 
-from ..engine.protocol import Sketch, as_histogram
-from ..engine.registry import register_sketch
+from ..engine.protocol import EXPAND_MAX, Sketch, as_histogram, expand_histogram
+from ..engine.registry import SketchPayloadError, register_sketch
 from ..kernels import (
     counter_key,
     counter_u01,
@@ -69,7 +69,7 @@ from ..kernels import (
     counter_u64_one,
     sampler_segment_counts,
 )
-from ..streams.reservoir import _fresh_seed
+from ..streams.reservoir import _fresh_seed, _require_counter_rng
 from .estimators import group_shape_for, median_of_means
 
 __all__ = [
@@ -79,11 +79,6 @@ __all__ = [
 ]
 
 _NO_SLOT = -1
-
-#: RNG schemes a sample-count tracker can draw from (see
-#: :class:`SampleCountSketch` — ``counter`` is the default for new
-#: instances, ``pcg64`` the legacy stateful scheme kept for snapshots).
-SAMPLECOUNT_SCHEMES = ("counter", "pcg64")
 
 
 def _default_initial_range(s: int) -> int:
@@ -103,21 +98,18 @@ class SampleCountSketch(Sketch):
     s2:
         Confidence parameter: number of groups medianed.
     seed:
-        RNG seed for position selection (reservoir sampling).
+        Seed of the counter RNG of :mod:`repro.kernels` that selects
+        positions (reservoir sampling).  Every draw is keyed by the
+        (stream position, slot) pair, so draws are pure functions of
+        the seed, which is what lets :meth:`update_from_stream`
+        precompute the whole replacement chain and batch the suffix
+        counting through a compiled kernel.
     initial_range:
         The window {1..initial_range} from which the initial positions
         are drawn.  Defaults to the paper's ``s * ceil(log2 s)``.  For
         insertion-only experiments with a known stream length n, pass
         ``initial_range=n`` to reproduce the a-priori-n scheme of
         [AMS99] (uniform positions over the whole stream).
-    rng_scheme:
-        ``"counter"`` (default) keys every reservoir draw by the
-        (stream position, slot) pair through the counter RNG of
-        :mod:`repro.kernels` — draws are pure functions of the seed,
-        which is what lets :meth:`update_from_stream` precompute the
-        whole replacement chain and batch the suffix counting through
-        a compiled kernel.  ``"pcg64"`` is the legacy stateful scheme;
-        old snapshots load onto it and continue draw for draw.
 
     Notes
     -----
@@ -133,13 +125,10 @@ class SampleCountSketch(Sketch):
         "(position-sampled; insert/delete, not mergeable)"
     )
 
-    #: Histogram entries with counts at most this expand through the
-    #: vectorised stream path; larger counts use the arithmetic repeat
-    #: walk of :meth:`_insert_repeated` (identical draws either way).
-    _EXPAND_MAX = 1 << 16
-
-    #: Target expanded-buffer size per bulk flush.
-    _EXPAND_CHUNK = 1 << 17
+    #: Histogram entries with counts above this take the arithmetic
+    #: repeat walk of :meth:`_insert_repeated` instead of expansion
+    #: (identical draws either way).
+    _EXPAND_MAX = EXPAND_MAX
 
     #: Reservoir events per compiled segment-counting call: bounds the
     #: (events, tracked-values) count matrix to a few MB per call.
@@ -151,25 +140,12 @@ class SampleCountSketch(Sketch):
         s2: int = 1,
         seed: int | None = None,
         initial_range: int | None = None,
-        rng_scheme: str = "counter",
     ):
-        if rng_scheme not in SAMPLECOUNT_SCHEMES:
-            raise ValueError(
-                f"unknown RNG scheme {rng_scheme!r}; "
-                f"choose from {SAMPLECOUNT_SCHEMES}"
-            )
         self.s1, self.s2 = group_shape_for(s1, s2)
         s = self.s1 * self.s2
         self._s = s
-        self.rng_scheme = rng_scheme
-        if rng_scheme == "counter":
-            self.seed = _fresh_seed() if seed is None else int(seed)
-            self._key = counter_key(self.seed)
-            self._rng = None
-        else:
-            self.seed = None
-            self._key = None
-            self._rng = np.random.default_rng(seed)
+        self.seed = _fresh_seed() if seed is None else int(seed)
+        self._key = counter_key(self.seed)
         self.initial_range = (
             int(initial_range) if initial_range is not None else _default_initial_range(s)
         )
@@ -179,18 +155,12 @@ class SampleCountSketch(Sketch):
         self._n = 0  # current multiset size
         # Future positions: P_m look-up table, position -> [slot indices].
         self._pending: dict[int, list[int]] = {}
-        if rng_scheme == "counter":
-            # Slot i's initial position is draw i at reserved stream
-            # position 0 (real positions start at 1, so replacement
-            # draws never alias the initialisation draws).
-            initial = [
-                1 + counter_u64_one(self._key, 0, i) % self.initial_range
-                for i in range(s)
-            ]
-        else:
-            initial = self._rng.integers(1, self.initial_range + 1, size=s).tolist()
-        for i, m in enumerate(initial):
-            self._pending.setdefault(int(m), []).append(i)
+        # Slot i's initial position is draw i at reserved stream
+        # position 0 (real positions start at 1, so replacement draws
+        # never alias the initialisation draws).
+        for i in range(s):
+            m = 1 + counter_u64_one(self._key, 0, i) % self.initial_range
+            self._pending.setdefault(m, []).append(i)
 
         # Per-slot state.
         self._in_sample = np.zeros(s, dtype=bool)
@@ -258,61 +228,32 @@ class SampleCountSketch(Sketch):
     # ------------------------------------------------------------------
     # Reservoir skipping [Vit85]
     # ------------------------------------------------------------------
-    def _skip_from(self, base: int) -> int:
-        """Next replacement position for a size-1 reservoir at ``base``.
-
-        The survival law is P(next > x) = base / x for x >= base; the
-        inverse-transform draw is ``ceil(base / u)`` with u uniform on
-        (0, 1], clamped to base + 1 (the event next == base has
-        probability zero).  Expected gap ~ base, which is what makes
-        all s reservoirs cost O(1) amortised once n >= s log s.
-        """
-        u = 1.0 - float(self._rng.random())  # in (0, 1]
-        return max(base + 1, math.ceil(base / u))
-
     def _next_position(self, i: int, p: int) -> int:
         """The next replacement position of slot i firing at position p.
 
-        Under the counter scheme the uniform is draw ``i`` at stream
-        position ``p`` — a pure function of (seed, p, i), so the
+        A size-1 reservoir at ``base`` next accepts at ``ceil(base / u)``
+        (survival law P(next > x) = base / x), clamped to base + 1;
+        the expected gap ~ base is what makes all s reservoirs cost
+        O(1) amortised once n >= s log s.  The uniform is draw ``i`` at
+        stream position ``p`` — a pure function of (seed, p, i), so the
         batched walker can compute the whole replacement chain up
         front and still land on exactly the positions a scalar insert
-        loop would have drawn.  Under legacy pcg64 it consumes the
-        stateful generator exactly as the seed implementation did.
+        loop would have drawn.
         """
         base = max(p, self.initial_range)
-        if self.rng_scheme == "counter":
-            u = counter_u01_one(self._key, p, i)
-            return max(base + 1, math.ceil(base / u))
-        return self._skip_from(base)
-
-    def _entering_order(self, entering: list[int]) -> list[int]:
-        """Processing order for slots that share one sample position.
-
-        Canonical ascending-slot order under the counter scheme (so
-        the scalar loop and the batched walker build identical S_v
-        lists); legacy pcg64 keeps arrival order, which is what its
-        stateful draw sequence was recorded against.
-        """
-        if self.rng_scheme == "counter":
-            return sorted(entering)
-        return entering
+        u = counter_u01_one(self._key, p, i)
+        return max(base + 1, math.ceil(base / u))
 
     def _pending_add(self, position: int, i: int) -> None:
         """Register slot i to (re)sample at ``position``.
 
-        Counter-scheme pending lists are kept sorted by slot index —
-        the canonical order :meth:`_entering_order` processes them in —
-        so the scalar loop and the batched walker (which discovers the
-        same positions in a different traversal order) serialise to
-        identical state.  pcg64 keeps arrival order, which its stateful
-        draw sequence depends on.
+        Pending lists are kept sorted by slot index — the canonical
+        order slots sharing a position are processed in — so the
+        scalar loop and the batched walker (which discovers the same
+        positions in a different traversal order) serialise to
+        identical state.
         """
-        slots = self._pending.setdefault(position, [])
-        if self.rng_scheme == "counter":
-            bisect.insort(slots, i)
-        else:
-            slots.append(i)
+        bisect.insort(self._pending.setdefault(position, []), i)
 
     def _schedule_replacement(self, i: int, current_pos: int) -> None:
         # The initial application considers only positions beyond the
@@ -351,7 +292,7 @@ class SampleCountSketch(Sketch):
         self._n += 1
         entering = self._pending.pop(self._n, None)
         if entering is not None:
-            for i in self._entering_order(entering):
+            for i in sorted(entering):
                 self._schedule_replacement(i, self._n)
                 if self._in_sample[i]:
                     self._discard(i)
@@ -385,88 +326,8 @@ class SampleCountSketch(Sketch):
         if v not in self._head:
             del self._nv[v]
 
-    def _advance_tracked(self, segment: np.ndarray) -> None:
-        """Advance past a run of positions with no reservoir events.
-
-        Between two pending sample positions an insert only increments
-        ``N_v`` for values already in the sample, and those increments
-        commute — so a whole segment collapses to one vectorised
-        membership test plus one histogram of the tracked hits.
-        """
-        k = int(segment.size)
-        if k == 0:
-            return
-        self._n += k
-        if not self._nv:
-            return
-        if k <= 512:
-            # Short segment: fixed numpy call overhead beats the work;
-            # a dict-membership loop is faster and state-identical.
-            nv = self._nv
-            for v in segment.tolist():
-                if v in nv:
-                    nv[v] += 1
-                    self._hook_value_inserted(v)
-            return
-        tracked = np.fromiter(self._nv.keys(), dtype=np.int64, count=len(self._nv))
-        hits = segment[np.isin(segment, tracked)]
-        if hits.size == 0:
-            return
-        uniq, counts = np.unique(hits, return_counts=True)
-        for v, c in zip(uniq.tolist(), counts.tolist()):
-            self._nv[v] += c
-            self._hook_value_inserted_bulk(v, c)
-
     def update_from_stream(self, values: Iterable[int] | np.ndarray) -> None:
-        """Insert a whole stream with vectorised segment processing.
-
-        Walks the stream from one pending sample position to the next:
-        the elements in between touch no reservoir state and are folded
-        in by :meth:`_advance_tracked`; the element at each pending
-        position runs the full Figure 1 insert step.  Random draws
-        happen at exactly the same points, in the same order, as a
-        per-element :meth:`insert` loop, so the resulting sketch state
-        is **bit-identical** to the loop (the test suite asserts this).
-        """
-        arr = np.asarray(values, dtype=np.int64)
-        if arr.ndim != 1:
-            raise ValueError(f"stream must be 1-D, got shape {arr.shape}")
-        if arr.size == 0:
-            return
-        if self.rng_scheme == "counter":
-            self._update_from_stream_counter(arr)
-            return
-        n0 = self._n
-        end = n0 + int(arr.size)
-        # Min-heap of pending positions inside this batch; positions
-        # scheduled *during* the batch are pushed as they appear.
-        heap = [p for p in self._pending if p <= end]
-        heapq.heapify(heap)
-        pos = n0  # last absolute stream position fully processed
-        while heap:
-            p = heapq.heappop(heap)
-            entering = self._pending.pop(p, None)
-            if entering is None:
-                continue  # duplicate heap entry for an already-handled position
-            self._advance_tracked(arr[pos - n0 : p - 1 - n0])
-            v = int(arr[p - 1 - n0])
-            self._n += 1
-            for i in self._entering_order(entering):
-                nxt = self._next_position(i, p)
-                self._pending_add(nxt, i)
-                if nxt <= end:
-                    heapq.heappush(heap, nxt)
-                if self._in_sample[i]:
-                    self._discard(i)
-                self._add_sample_point(i, v)
-            if v in self._nv:
-                self._nv[v] += 1
-                self._hook_value_inserted(v)
-            pos = p
-        self._advance_tracked(arr[pos - n0 :])
-
-    def _update_from_stream_counter(self, arr: np.ndarray) -> None:
-        """Batched counter-scheme ingest: chain first, then count.
+        """Insert a whole stream in bulk: chain first, then count.
 
         Because every draw is a pure function of (seed, position,
         slot), the complete chain of reservoir events inside the batch
@@ -483,6 +344,11 @@ class SampleCountSketch(Sketch):
         fast-query group sums) are pure functions of the base state
         and are rebuilt once at the end via :meth:`_rebuild_derived`.
         """
+        arr = np.asarray(values, dtype=np.int64)
+        if arr.ndim != 1:
+            raise ValueError(f"stream must be 1-D, got shape {arr.shape}")
+        if arr.size == 0:
+            return
         n0 = self._n
         end = n0 + int(arr.size)
 
@@ -630,7 +496,7 @@ class SampleCountSketch(Sketch):
                 continue  # duplicate heap entry for an already-handled position
             self._count_tracked(v, p - 1 - self._n)
             self._n += 1
-            for i in self._entering_order(entering):
+            for i in sorted(entering):
                 nxt = self._next_position(i, p)
                 self._pending_add(nxt, i)
                 if nxt <= end:
@@ -652,48 +518,6 @@ class SampleCountSketch(Sketch):
             self._nv[v] += gap
             self._hook_value_inserted_bulk(v, gap)
 
-    def _insert_frequencies_counter(self, vals: np.ndarray, cnts: np.ndarray) -> None:
-        """Counter-scheme insertion runs: expand-and-batch small counts.
-
-        Buffers consecutive histogram entries whose counts fit the
-        expansion budget, materialises them with ``np.repeat``, and
-        folds each buffer through :meth:`_update_from_stream_counter`.
-        Entries with huge counts flush the buffer and take the
-        arithmetic :meth:`_insert_repeated` walk.  Draws are pure
-        functions of stream position, so both routes produce exactly
-        the state of per-element inserts in histogram order.
-        """
-        pend_vals: list[int] = []
-        pend_cnts: list[int] = []
-        pending = 0
-
-        def flush() -> None:
-            nonlocal pending
-            if not pend_vals:
-                return
-            expanded = np.repeat(
-                np.asarray(pend_vals, dtype=np.int64),
-                np.asarray(pend_cnts, dtype=np.int64),
-            )
-            self._update_from_stream_counter(expanded)
-            pend_vals.clear()
-            pend_cnts.clear()
-            pending = 0
-
-        for v, c in zip(vals.tolist(), cnts.tolist()):
-            if c <= 0:
-                continue
-            if c > self._EXPAND_MAX:
-                flush()
-                self._insert_repeated(v, c)
-                continue
-            pend_vals.append(v)
-            pend_cnts.append(c)
-            pending += c
-            if pending >= self._EXPAND_CHUNK:
-                flush()
-        flush()
-
     def update_from_frequencies(
         self, values: Iterable[int] | np.ndarray, counts: Iterable[int] | np.ndarray
     ) -> None:
@@ -701,26 +525,21 @@ class SampleCountSketch(Sketch):
 
         The sample is position-dependent, so a histogram fixes a stream
         order: each value's insertions appear consecutively, values in
-        the given order, followed by the deletions.  Insertion runs
-        fold in without expansion via :meth:`_insert_repeated` (a
-        billion-occurrence entry costs O(s log) work, not O(count)
-        memory); deletions are applied per occurrence (each is O(1)
-        amortised).
-
-        Under the counter scheme, entries with modest counts are
-        instead expanded with ``np.repeat`` into chunked value arrays
-        and folded through the batched stream walker — identical draws
-        (position-pure), far less per-entry overhead on histograms
-        with many distinct values.  Huge counts keep the arithmetic
-        walk either way.
+        the given order, followed by the deletions.  Insertion runs with
+        modest counts are expanded into chunked value arrays and folded
+        through :meth:`update_from_stream`; huge counts take the
+        arithmetic :meth:`_insert_repeated` walk (a billion-occurrence
+        entry costs O(s log) work, not O(count) memory).  Draws are
+        pure functions of stream position, so both routes produce
+        exactly the state of per-element inserts.  Deletions are
+        applied per occurrence (each is O(1) amortised).
         """
         vals, cnts = as_histogram(values, counts)
-        if self.rng_scheme == "counter":
-            self._insert_frequencies_counter(vals, cnts)
-        else:
-            for v, c in zip(vals.tolist(), cnts.tolist()):
-                if c > 0:
-                    self._insert_repeated(v, c)
+        for piece in expand_histogram(vals, cnts, self._EXPAND_MAX):
+            if isinstance(piece, tuple):
+                self._insert_repeated(*piece)
+            else:
+                self.update_from_stream(piece)
         negative = cnts < 0
         for v, c in zip(vals[negative].tolist(), (-cnts[negative]).tolist()):
             for _ in range(c):
@@ -844,22 +663,19 @@ class SampleCountSketch(Sketch):
     def to_dict(self) -> dict:
         """Serialise the complete tracker state to plain Python types.
 
-        Includes the RNG state, so a reloaded tracker continues the
-        exact random sequence of the original — streaming can resume
-        from a checkpoint with bit-identical behaviour.  Counter-scheme
-        snapshots carry ``rng_scheme`` + ``seed`` (the position cursor
-        is ``n`` plus the pending table — draws are stateless);
-        legacy pcg64 snapshots carry the generator state under
-        ``rng``, and payloads written before the scheme field existed
-        are recognised by that key and load onto the pcg64 path.
+        The RNG cursor is the ``seed`` plus the stream position ``n``
+        and the pending table already stored (draws are stateless), so
+        a reloaded tracker continues the exact random sequence of the
+        original — streaming can resume from a checkpoint with
+        bit-identical behaviour.
         """
-        payload = {
+        return {
             "kind": self.kind,
             "s1": self.s1,
             "s2": self.s2,
             "initial_range": self.initial_range,
             "n": self._n,
-            "rng_scheme": self.rng_scheme,
+            "rng_scheme": "counter",
             "pending": [
                 [int(p), [int(i) for i in slots]]
                 for p, slots in sorted(self._pending.items())
@@ -871,12 +687,8 @@ class SampleCountSketch(Sketch):
             "prev": self._prev.tolist(),
             "head": [[int(v), int(i)] for v, i in sorted(self._head.items())],
             "nv": [[int(v), int(c)] for v, c in sorted(self._nv.items())],
+            "seed": self.seed,
         }
-        if self.rng_scheme == "counter":
-            payload["seed"] = self.seed
-        else:
-            payload["rng"] = self._rng.bit_generator.state
-        return payload
 
     def _rebuild_derived(self) -> None:
         """Recompute any state derived from the base slot structures.
@@ -886,35 +698,40 @@ class SampleCountSketch(Sketch):
 
     @classmethod
     def from_dict(cls, payload: dict) -> "SampleCountSketch":
-        """Reconstruct a tracker from :meth:`to_dict` output."""
+        """Reconstruct a tracker from :meth:`to_dict` output.
+
+        Raises :class:`SketchPayloadError` for a payload that does not
+        use the counter RNG, a slot index or link outside ``[0, s)``,
+        or a pending position at or before ``n``.
+        """
         if payload.get("kind") != cls.kind:
             raise ValueError(f"not a {cls.__name__} payload: {payload.get('kind')!r}")
-        scheme = payload.get("rng_scheme")
-        if scheme is None:
-            # Pre-scheme snapshots always carried the pcg64 state.
-            scheme = "pcg64" if "rng" in payload else "counter"
+        _require_counter_rng(payload, "rng_scheme")
         sketch = cls(
             int(payload["s1"]),
             int(payload["s2"]),
-            seed=(int(payload["seed"]) if scheme == "counter" else None),
+            seed=int(payload["seed"]),
             initial_range=int(payload["initial_range"]),
-            rng_scheme=scheme,
         )
         s = sketch._s
-        if scheme == "pcg64":
-            rng = np.random.default_rng()
-            rng.bit_generator.state = payload["rng"]
-            sketch._rng = rng
+
+        def slot(i) -> int:
+            i = int(i)
+            if not 0 <= i < s:
+                raise SketchPayloadError(f"slot index {i} out of range for s={s}")
+            return i
+
         sketch._n = int(payload["n"])
-        sketch._pending = {
-            int(p): [int(i) for i in slots] for p, slots in payload["pending"]
-        }
-        in_sample = np.zeros(s, dtype=bool)
-        members = np.asarray(payload["in_sample"], dtype=np.int64)
-        if members.size and (members.min() < 0 or members.max() >= s):
-            raise ValueError(f"in-sample slot index out of range for s={s}")
-        in_sample[members] = True
-        sketch._in_sample = in_sample
+        sketch._pending = {}
+        for p, slots in payload["pending"]:
+            if int(p) <= sketch._n:
+                raise SketchPayloadError(
+                    f"pending position {p} is not after n={sketch._n}"
+                )
+            sketch._pending[int(p)] = [slot(i) for i in slots]
+        members = [slot(i) for i in payload["in_sample"]]
+        sketch._in_sample = np.zeros(s, dtype=bool)
+        sketch._in_sample[np.asarray(members, dtype=np.int64)] = True
         for key, attr in (
             ("val", "_val"),
             ("entry", "_entry"),
@@ -923,11 +740,13 @@ class SampleCountSketch(Sketch):
         ):
             array = np.asarray(payload[key], dtype=np.int64)
             if array.shape != (s,):
-                raise ValueError(
+                raise SketchPayloadError(
                     f"field {key!r} has shape {array.shape}, expected ({s},)"
                 )
+            if key in ("next", "prev") and ((array < _NO_SLOT) | (array >= s)).any():
+                raise SketchPayloadError(f"field {key!r} links a slot outside [0, {s})")
             setattr(sketch, attr, array)
-        sketch._head = {int(v): int(i) for v, i in payload["head"]}
+        sketch._head = {int(v): slot(i) for v, i in payload["head"]}
         sketch._nv = {int(v): int(c) for v, c in payload["nv"]}
         sketch._rebuild_derived()
         return sketch
@@ -966,11 +785,8 @@ class SampleCountFastQuery(SampleCountSketch):
         s2: int = 1,
         seed: int | None = None,
         initial_range: int | None = None,
-        rng_scheme: str = "counter",
     ):
-        super().__init__(
-            s1, s2, seed=seed, initial_range=initial_range, rng_scheme=rng_scheme
-        )
+        super().__init__(s1, s2, seed=seed, initial_range=initial_range)
         self._ysum = np.zeros(self.s2, dtype=np.int64)  # sum of r_i per group
         self._num = np.zeros(self.s2, dtype=np.int64)  # Num_j
         self._k: dict[int, dict[int, int]] = {}  # k_{v,j}

@@ -36,11 +36,11 @@ Two class-level attributes describe a sketch's algebra:
 from __future__ import annotations
 
 import abc
-from typing import Iterable
+from typing import Iterable, Iterator
 
 import numpy as np
 
-__all__ = ["Sketch", "MergeUnsupportedError", "as_histogram"]
+__all__ = ["Sketch", "MergeUnsupportedError", "as_histogram", "expand_histogram"]
 
 
 def as_histogram(
@@ -59,6 +59,49 @@ def as_histogram(
             f"values {vals.shape} and counts {cnts.shape} must be equal-length 1-D"
         )
     return vals, cnts
+
+
+#: Histogram entries with counts at most this are expanded into stream
+#: chunks by :func:`expand_histogram`; larger counts come out as runs.
+EXPAND_MAX = 1 << 16
+
+#: Target number of elements per expanded chunk.
+EXPAND_CHUNK = 1 << 17
+
+
+def expand_histogram(
+    vals: np.ndarray, cnts: np.ndarray, expand_max: int = EXPAND_MAX
+) -> Iterator[np.ndarray | tuple[int, int]]:
+    """Yield a histogram's insertions in stream order, as chunks and runs.
+
+    The stream order of a histogram puts each value's occurrences
+    consecutively, values in the given order.  Consecutive entries
+    with counts up to ``expand_max`` are materialised with
+    ``np.repeat`` into int64 arrays of about :data:`EXPAND_CHUNK`
+    elements; an entry with a larger count is yielded as a
+    ``(value, count)`` tuple so a position-sampling sketch can fold it
+    in arithmetically instead of expanding it.  Entries with counts
+    <= 0 are skipped.
+    """
+    pend_vals: list[int] = []
+    pend_cnts: list[int] = []
+    pending = 0
+    for v, c in zip(vals.tolist(), cnts.tolist()):
+        if c <= 0:
+            continue
+        if c <= expand_max:
+            pend_vals.append(v)
+            pend_cnts.append(c)
+            pending += c
+            if pending < EXPAND_CHUNK:
+                continue
+        if pend_vals:
+            yield np.repeat(np.asarray(pend_vals, dtype=np.int64), pend_cnts)
+            pend_vals, pend_cnts, pending = [], [], 0
+        if c > expand_max:
+            yield v, c
+    if pend_vals:
+        yield np.repeat(np.asarray(pend_vals, dtype=np.int64), pend_cnts)
 
 
 class MergeUnsupportedError(TypeError):

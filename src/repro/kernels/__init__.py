@@ -34,7 +34,6 @@ bit-identity for every registered linear sketch kind.
 
 from .dispatch import (
     RESERVOIR_SEQ_FACTOR,
-    SAMPLER_RNG_SCHEME,
     KernelUnavailableError,
     active_backend,
     available_backends,
@@ -68,7 +67,6 @@ __all__ = [
     "fk_update_one",
     "splitmix64",
     "shard_assign",
-    "SAMPLER_RNG_SCHEME",
     "RESERVOIR_SEQ_FACTOR",
     "counter_key",
     "counter_u64_one",

@@ -34,7 +34,6 @@ __all__ = [
     "fk_update_one",
     "splitmix64",
     "shard_assign",
-    "SAMPLER_RNG_SCHEME",
     "RESERVOIR_SEQ_FACTOR",
     "counter_key",
     "counter_u64_one",
@@ -69,10 +68,6 @@ SPLITMIX_GAMMA = 0x9E3779B97F4A7C15
 #: counter-based sampler RNG (a distinct odd constant so the (j, i)
 #: lattice never aliases the position stream).
 COUNTER_DRAW_GAMMA = 0xD1B54A32D192ED03
-
-#: RNG scheme newly constructed sampler sketches draw from; legacy
-#: PCG64 snapshots keep their scheme on a compatibility path.
-SAMPLER_RNG_SCHEME = "counter"
 
 #: Reservoir skip draws use the exact sequential-product search while
 #: ``offered <= RESERVOIR_SEQ_FACTOR * k``; beyond that the drivers
@@ -211,7 +206,6 @@ def kernel_info(probe: bool = False) -> dict:
         "requested": os.environ.get(ENV_VAR, "auto").strip() or "auto",
         "available": list(available),
         "load_errors": dict(_load_errors),
-        "sampler_rng": SAMPLER_RNG_SCHEME,
     }
 
 

@@ -301,7 +301,6 @@ class KeyedSketchService:
                 if store is not None:
                     spans.update(tuple(span) for span in store.spans)
             from ..kernels import active_backend
-            from ..streams.reservoir import DEFAULT_SAMPLER_RNG
 
             return {
                 "kind": self._store.spec.kind,
@@ -316,7 +315,6 @@ class KeyedSketchService:
                 "coverage": None if coverage is None else list(coverage),
                 "memory_words": self._store.memory_words,
                 "kernel_backend": active_backend(),
-                "sampler_rng": DEFAULT_SAMPLER_RNG,
             }
 
     def snapshot(self, key: str | None = None) -> dict:
@@ -377,7 +375,6 @@ class KeyedSketchService:
             key = validate_key(key)
             items = {key: items.get(key, 0)}
         from ..kernels import active_backend
-        from ..streams.reservoir import DEFAULT_SAMPLER_RNG
 
         stats = dict(self._cache.stats)
         stats["keyed"] = True
@@ -385,7 +382,6 @@ class KeyedSketchService:
         stats["items"] = sum(items.values())
         stats["items_by_key"] = {k: items[k] for k in sorted(items)}
         stats["kernel_backend"] = active_backend()
-        stats["sampler_rng"] = DEFAULT_SAMPLER_RNG
         return stats
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic

@@ -307,7 +307,6 @@ class SketchService:
         behind the wire ``info`` op.
         """
         from ..kernels import active_backend
-        from ..streams.reservoir import DEFAULT_SAMPLER_RNG
 
         with self._rw.read():
             coverage = self._store.coverage
@@ -320,7 +319,6 @@ class SketchService:
                 "coverage": None if coverage is None else list(coverage),
                 "memory_words": self._store.memory_words,
                 "kernel_backend": active_backend(),
-                "sampler_rng": DEFAULT_SAMPLER_RNG,
             }
 
     def snapshot(self) -> dict:
@@ -367,13 +365,11 @@ class SketchService:
         make partition skew observable.
         """
         from ..kernels import active_backend
-        from ..streams.reservoir import DEFAULT_SAMPLER_RNG
 
         stats = dict(self._cache.stats)
         with self._rw.read():
             stats["items"] = _store_items(self._store)
         stats["kernel_backend"] = active_backend()
-        stats["sampler_rng"] = DEFAULT_SAMPLER_RNG
         return stats
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic

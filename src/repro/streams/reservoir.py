@@ -26,6 +26,7 @@ from typing import Iterable, List
 
 import numpy as np
 
+from repro.engine.registry import SketchPayloadError
 from repro.kernels import (
     RESERVOIR_SEQ_FACTOR,
     counter_key,
@@ -39,24 +40,29 @@ __all__ = [
     "SingleReservoir",
     "ReservoirSample",
     "skip_length",
-    "DEFAULT_SAMPLER_RNG",
 ]
-
-#: RNG schemes a reservoir can draw from.  ``counter`` (the default
-#: for new instances) keys every draw by stream position, which is
-#: what lets bulk offers run through the compiled kernels; ``pcg64``
-#: is the legacy stateful-generator scheme, kept so old snapshots
-#: load and continue draw for draw.
-RESERVOIR_SCHEMES = ("counter", "pcg64")
-
-#: The scheme new sampler instances draw from — what the CLI banners
-#: and service info/stats payloads report as ``sampler_rng``.
-DEFAULT_SAMPLER_RNG = RESERVOIR_SCHEMES[0]
 
 
 def _fresh_seed() -> int:
     """An entropy-derived 64-bit seed for unseeded counter reservoirs."""
     return int(np.random.SeedSequence().entropy) & ((1 << 64) - 1)
+
+
+def _require_counter_rng(payload: dict, scheme_field: str) -> None:
+    """Refuse a sampler snapshot that does not use the counter RNG.
+
+    Snapshots written before the samplers moved to the counter RNG
+    embed a numpy PCG64 state under ``rng``; no code continues that
+    sequence, so such payloads (and any scheme other than ``counter``)
+    raise :class:`SketchPayloadError` rather than load.
+    """
+    scheme = payload.get(scheme_field, "counter")
+    if "rng" in payload or scheme != "counter":
+        found = "a PCG64 'rng' state" if "rng" in payload else f"RNG scheme {scheme!r}"
+        raise SketchPayloadError(
+            f"sampler snapshot carries {found}; only counter-RNG snapshots "
+            "load, so rebuild the sketch from the stream"
+        )
 
 
 def skip_length(current: int, u: float) -> int:
@@ -138,29 +144,20 @@ class ReservoirSample:
     search on the product form) batches the rejected offers so the
     amortised per-offer cost is O(k/n) random draws — the [Vit85]
     optimisation naive-sampling relies on for cheap tracking.
+
+    Every draw comes from the counter RNG of :mod:`repro.kernels`,
+    keyed by stream position, which is what lets bulk offers run
+    through the compiled kernels and land on the scalar loop's state.
     """
 
-    __slots__ = ("k", "scheme", "seed", "_key", "_rng", "_items", "_offered", "_skip")
+    __slots__ = ("k", "seed", "_key", "_items", "_offered", "_skip")
 
-    def __init__(
-        self, k: int, seed: int | None = None, scheme: str = "counter"
-    ):
+    def __init__(self, k: int, seed: int | None = None):
         if k < 1:
             raise ValueError(f"reservoir size k must be >= 1, got {k}")
-        if scheme not in RESERVOIR_SCHEMES:
-            raise ValueError(
-                f"unknown RNG scheme {scheme!r}; choose from {RESERVOIR_SCHEMES}"
-            )
         self.k = int(k)
-        self.scheme = scheme
-        if scheme == "counter":
-            self.seed = _fresh_seed() if seed is None else int(seed)
-            self._key = counter_key(self.seed)
-            self._rng = None
-        else:
-            self.seed = None
-            self._key = None
-            self._rng = np.random.default_rng(seed)
+        self.seed = _fresh_seed() if seed is None else int(seed)
+        self._key = counter_key(self.seed)
         self._items: List = []
         self._offered = 0
         self._skip = 0  # offers to reject before the next acceptance
@@ -172,9 +169,9 @@ class ReservoirSample:
         through :meth:`offer_repeated` histogram entries with huge
         counts), where the sequential product would iterate once per
         skipped position.  libm's ``lgamma`` is not bit-stable across
-        toolchains, so this branch stays in driver Python under both
-        schemes — the regime switch is a pure function of (n, k), so
-        every backend agrees on which branch a position takes.
+        toolchains, so this branch stays in Python — the regime switch
+        is a pure function of (n, k), so every backend agrees on which
+        branch a position takes.
         """
         # log P(G > g) = lgamma-form of the survival product (monotone in g).
         log_u = math.log(u) if u > 0.0 else -800.0
@@ -204,35 +201,19 @@ class ReservoirSample:
         against a single uniform draw.
 
         Two regimes, one uniform consumed either way: while the
-        expected gap ``n / k`` is modest, a search on the float
-        product (for the counter scheme, the shared kernel-exact
-        sequential search; for legacy pcg64, the seed implementation's
-        arithmetic, preserved so old snapshots continue draw for
-        draw); beyond the sequential window, the lgamma bisection.
+        expected gap ``n / k`` is modest, the kernel-exact sequential
+        search shared with :func:`repro.kernels.reservoir_chain`;
+        beyond the sequential window, the lgamma bisection.
         """
         n = self._offered
-        if self.scheme == "counter":
-            u = counter_u01_one(self._key, n, 1)
-            if n <= RESERVOIR_SEQ_FACTOR * self.k:
-                return reservoir_gap_one(self.k, n, u)
-            return self._lgamma_gap(n, u)
-        u = float(self._rng.random())
+        u = counter_u01_one(self._key, n, 1)
         if n <= RESERVOIR_SEQ_FACTOR * self.k:
-            gap = 0
-            survive = 1.0
-            while True:
-                nxt = survive * (n + gap + 1 - self.k) / (n + gap + 1)
-                if nxt <= u:
-                    return gap
-                survive = nxt
-                gap += 1
+            return reservoir_gap_one(self.k, n, u)
         return self._lgamma_gap(n, u)
 
     def _draw_slot(self) -> int:
         """The reservoir slot replaced by the acceptance at ``offered``."""
-        if self.scheme == "counter":
-            return counter_u64_one(self._key, self._offered, 0) % self.k
-        return int(self._rng.integers(0, self.k))
+        return counter_u64_one(self._key, self._offered, 0) % self.k
 
     def offer(self, item) -> bool:
         """Offer one stream element; returns True if it entered the sample."""
@@ -258,60 +239,20 @@ class ReservoirSample:
         for item in items:
             self.offer(item)
 
-    def offer_many(self, items: Iterable) -> None:
-        """Offer a whole batch, jumping between acceptances.
-
-        Instead of one :meth:`offer` call per element, the skip counter
-        is consumed in arithmetic jumps: work (and random draws) happen
-        only at the O(k log(n/k)) accepted positions, so a
-        million-element batch costs a handful of Python operations per
-        acceptance.  Random draws occur at exactly the positions the
-        per-element loop would make them, so the resulting reservoir is
-        bit-identical to calling :meth:`offer` in a loop.
-        """
-        seq = items if isinstance(items, list) else list(items)
-        i = 0
-        n = len(seq)
-        # Fill phase: the first k offers are always accepted.
-        while i < n and len(self._items) < self.k:
-            self._items.append(seq[i])
-            self._offered += 1
-            i += 1
-            if len(self._items) == self.k:
-                self._skip = self._draw_skip()
-        # Steady state: jump straight to the next accepting position.
-        while i < n:
-            remaining = n - i
-            if self._skip >= remaining:
-                self._skip -= remaining
-                self._offered += remaining
-                return
-            i += self._skip
-            self._offered += self._skip
-            self._offered += 1
-            slot = self._draw_slot()
-            self._items[slot] = seq[i]
-            self._skip = self._draw_skip()
-            i += 1
-
     def offer_array(self, values: np.ndarray) -> None:
         """Offer a whole int64 array through the compiled chain kernel.
 
-        Counter scheme only (legacy pcg64 reservoirs fall back to the
-        Python jump loop of :meth:`offer_many`): the full-reservoir
-        stretch dispatches to :func:`repro.kernels.reservoir_chain`,
-        which returns every accepted (offset, slot) pair in one
-        compiled pass.  Batches crossing the sequential window are
-        split at the boundary; beyond it the driver jumps between
-        acceptances with lgamma-drawn gaps.  Draw-for-draw identical
-        to offering every element through :meth:`offer`.
+        The full-reservoir stretch dispatches to
+        :func:`repro.kernels.reservoir_chain`, which returns every
+        accepted (offset, slot) pair in one compiled pass.  Batches
+        crossing the sequential window are split at the boundary;
+        beyond it the Python loop jumps between acceptances with
+        lgamma-drawn gaps.  Draw-for-draw identical to offering every
+        element through :meth:`offer`.
         """
         arr = np.ascontiguousarray(values, dtype=np.int64)
         if arr.ndim != 1:
             raise ValueError(f"values must be one-dimensional, got shape {arr.shape}")
-        if self.scheme != "counter":
-            self.offer_many(arr.tolist())
-            return
         i = 0
         n = arr.size
         # Fill phase: the first k offers are always accepted.
@@ -390,49 +331,45 @@ class ReservoirSample:
     def to_dict(self) -> dict:
         """Serialise the reservoir (items, counters, RNG cursor).
 
-        Counter-scheme payloads carry the seed — the whole RNG cursor,
-        since draws are keyed by the (offered, skip) position already
-        stored.  Legacy pcg64 payloads keep carrying the full
-        generator state, exactly as before this scheme existed.
+        The seed is the whole RNG cursor, since draws are keyed by the
+        (offered, skip) position already stored.
         """
-        payload = {
+        return {
             "k": self.k,
             "items": list(self._items),
             "offered": self._offered,
             "skip": self._skip,
-            "scheme": self.scheme,
+            "scheme": "counter",
+            "seed": self.seed,
         }
-        if self.scheme == "counter":
-            payload["seed"] = self.seed
-        else:
-            payload["rng"] = self._rng.bit_generator.state
-        return payload
 
     @classmethod
     def from_dict(cls, payload: dict) -> "ReservoirSample":
         """Reconstruct a reservoir from :meth:`to_dict` output.
 
         The RNG cursor is restored too, so continued streaming matches
-        the original bit for bit.  Payloads written before the counter
-        scheme existed have no ``scheme`` field but do carry a pcg64
-        ``rng`` state; they load onto the legacy path and continue
-        exactly.
+        the original bit for bit.  Payloads that do not use the counter
+        RNG, or whose counters contradict each other, raise
+        :class:`SketchPayloadError`.
         """
-        scheme = payload.get("scheme")
-        if scheme is None:
-            scheme = "pcg64" if "rng" in payload else "counter"
-        if scheme == "counter":
-            reservoir = cls(
-                int(payload["k"]), seed=int(payload["seed"]), scheme="counter"
+        _require_counter_rng(payload, "scheme")
+        reservoir = cls(int(payload["k"]), seed=int(payload["seed"]))
+        items = list(payload["items"])
+        offered = int(payload["offered"])
+        skip = int(payload["skip"])
+        if len(items) > reservoir.k:
+            raise SketchPayloadError(
+                f"reservoir holds {len(items)} items, more than k={reservoir.k}"
             )
-        else:
-            reservoir = cls(int(payload["k"]), scheme="pcg64")
-            rng = np.random.default_rng()
-            rng.bit_generator.state = payload["rng"]
-            reservoir._rng = rng
-        reservoir._items = list(payload["items"])
-        reservoir._offered = int(payload["offered"])
-        reservoir._skip = int(payload["skip"])
+        if skip < 0:
+            raise SketchPayloadError(f"reservoir skip must be >= 0, got {skip}")
+        if offered < len(items):
+            raise SketchPayloadError(
+                f"reservoir offered {offered} is below its {len(items)} items"
+            )
+        reservoir._items = items
+        reservoir._offered = offered
+        reservoir._skip = skip
         return reservoir
 
     def __len__(self) -> int:

@@ -101,9 +101,8 @@ class TestSketchCommands:
         assert {"tugofwar", "samplecount", "frequency", "fk_moments", "f0"} <= listed
         # Every kind ships a one-line description of what it estimates.
         assert all(":" in line and line.split(":", 1)[1].strip() for line in lines)
-        # The footer reports the active kernel backend and sampler RNG scheme.
+        # The footer reports the active kernel backend.
         assert any(line.startswith("kernel backend: ") for line in lines)
-        assert any(line.startswith("sampler rng: counter") for line in lines)
 
     def test_build_info_estimate_round_trip(self, tmp_path, values_file, capsys):
         out_path = str(tmp_path / "sk.json")

@@ -24,6 +24,7 @@ from repro.engine import (
     load_sketch,
     sketch_kinds,
 )
+from repro.engine.protocol import expand_histogram
 
 ALL_SKETCHES = [
     TugOfWarSketch(16, 3, seed=1),
@@ -100,6 +101,15 @@ class TestDefaults:
     def test_update_from_frequencies_shape_mismatch(self):
         with pytest.raises(ValueError):
             FrequencyVector().update_from_frequencies([1, 2], [1])
+
+    def test_expand_histogram_yields_chunks_and_runs_in_order(self):
+        vals = np.array([4, 7, 9, 2, 5], dtype=np.int64)
+        cnts = np.array([3, 0, 10, -1, 2], dtype=np.int64)
+        pieces = [
+            p if isinstance(p, tuple) else p.tolist()
+            for p in expand_histogram(vals, cnts, expand_max=5)
+        ]
+        assert pieces == [[4, 4, 4], (9, 10), [5, 5]]
 
     def test_merge_default_raises_with_clear_message(self):
         tracker = SampleCountSketch(8, 2, seed=0)

@@ -81,7 +81,6 @@ class TestRequireKey:
         assert service.compact() == 0
         assert service.evict(0) == 0
         assert service.stats()["keyed"] is True
-        assert service.stats()["sampler_rng"] == "counter"
         assert isinstance(service.snapshot(), dict)
 
 

@@ -12,9 +12,7 @@ function of ``(seed, j, i)``.  This file pins all of those contracts:
 * both sampler kinds: scalar == batched == every loadable backend,
   with batch sizes straddling the event-chunk boundary and int64
   extreme values;
-* snapshot -> continue round-trips under every backend and scheme;
-* legacy pcg64 snapshots (no scheme field) load and continue draw for
-  draw.
+* snapshot -> continue round-trips under every backend.
 """
 
 from __future__ import annotations
@@ -29,7 +27,6 @@ from repro.streams.reservoir import ReservoirSample
 
 COMPILED = [b for b in kernels.available_backends() if b != "numpy"]
 BACKENDS = kernels.available_backends()
-SCHEMES = ("counter", "pcg64")
 
 I64 = np.iinfo(np.int64)
 
@@ -58,21 +55,15 @@ def _stream(size: int, seed: int = 123) -> np.ndarray:
 
 SAMPLERS = [
     pytest.param(
-        lambda scheme, seed: SampleCountSketch(
-            s1=16, s2=2, seed=seed, rng_scheme=scheme
-        ),
+        lambda seed: SampleCountSketch(s1=16, s2=2, seed=seed),
         id="samplecount",
     ),
     pytest.param(
-        lambda scheme, seed: SampleCountFastQuery(
-            s1=16, s2=2, seed=seed, rng_scheme=scheme
-        ),
+        lambda seed: SampleCountFastQuery(s1=16, s2=2, seed=seed),
         id="samplecount-fast",
     ),
     pytest.param(
-        lambda scheme, seed: NaiveSamplingEstimator(
-            s=24, seed=seed, rng_scheme=scheme
-        ),
+        lambda seed: NaiveSamplingEstimator(s=24, seed=seed),
         id="naivesampling",
     ),
 ]
@@ -274,14 +265,13 @@ class TestSegmentCounts:
 # Sampler ingest-route equivalence (scalar == batched == backends)
 # ----------------------------------------------------------------------
 class TestSamplerRouteEquivalence:
-    @pytest.mark.parametrize("scheme", SCHEMES)
     @pytest.mark.parametrize("build", SAMPLERS)
-    def test_scalar_matches_batched(self, build, scheme):
+    def test_scalar_matches_batched(self, build):
         values = _stream(2000)
-        a = build(scheme, 17)
+        a = build(17)
         for v in values.tolist():
             a.insert(v)
-        b = build(scheme, 17)
+        b = build(17)
         b.update_from_stream(values)
         assert a.to_dict() == b.to_dict()
         assert a.estimate() == b.estimate()
@@ -292,9 +282,9 @@ class TestSamplerRouteEquivalence:
         """Any chunking lands on the same state (event-chunk boundary
         sizes 255/256/257 straddle the walker's internal chunk)."""
         values = _stream(2000, seed=5)
-        a = build("counter", 23)
+        a = build(23)
         a.update_from_stream(values)
-        b = build("counter", 23)
+        b = build(23)
         for lo in range(0, values.size, chunk):
             b.update_from_stream(values[lo : lo + chunk])
         assert a.to_dict() == b.to_dict()
@@ -305,11 +295,11 @@ class TestSamplerRouteEquivalence:
         values = _stream(3000, seed=7)
 
         kernels.set_backend("numpy")
-        a = build("counter", 31)
+        a = build(31)
         a.update_from_stream(values)
 
         kernels.set_backend(backend)
-        b = build("counter", 31)
+        b = build(31)
         b.update_from_stream(values)
         assert a.to_dict() == b.to_dict()
 
@@ -320,39 +310,35 @@ class TestSamplerRouteEquivalence:
         cnts = rng.integers(1, 90, size=vals.size, dtype=np.int64)
         cnts[0] = 200  # exercises the huge-count repeat path below
 
-        a = build("counter", 37)
+        a = build(37)
         a._EXPAND_MAX = 128  # force the arithmetic-repeat route for cnts[0]
         a.update_from_frequencies(vals, cnts)
 
-        b = build("counter", 37)
+        b = build(37)
         b.update_from_stream(np.repeat(vals, cnts))
         assert a.to_dict() == b.to_dict()
 
-    @pytest.mark.parametrize("scheme", SCHEMES)
     @pytest.mark.parametrize("build", SAMPLERS)
-    def test_seed_changes_state(self, build, scheme):
+    def test_seed_changes_state(self, build):
         values = _stream(1200, seed=3)
-        a = build(scheme, 1)
-        b = build(scheme, 2)
+        a = build(1)
+        b = build(2)
         a.update_from_stream(values)
         b.update_from_stream(values)
         assert a.to_dict() != b.to_dict()
 
 
 # ----------------------------------------------------------------------
-# Snapshot round-trips and legacy migration
+# Snapshot round-trips
 # ----------------------------------------------------------------------
 class TestSnapshotRoundTrips:
     @pytest.mark.parametrize("backend", BACKENDS)
-    @pytest.mark.parametrize("scheme", SCHEMES)
     @pytest.mark.parametrize("build", SAMPLERS)
-    def test_roundtrip_then_continue(
-        self, restore_backend, build, scheme, backend
-    ):
+    def test_roundtrip_then_continue(self, restore_backend, build, backend):
         kernels.set_backend(backend)
         first, second = _stream(1500, seed=19), _stream(1500, seed=20)
 
-        live = build(scheme, 53)
+        live = build(53)
         live.update_from_stream(first)
         revived = type(live).from_dict(live.to_dict())
         assert revived.to_dict() == live.to_dict()
@@ -363,35 +349,8 @@ class TestSnapshotRoundTrips:
         assert revived.estimate() == live.estimate()
 
     @pytest.mark.parametrize("build", SAMPLERS)
-    def test_legacy_pcg64_snapshot_loads_and_continues(self, build):
-        """Snapshots written before the scheme field existed carry only
-        the pcg64 generator state; they must load onto the pcg64 scheme
-        and continue draw for draw."""
-        first, second = _stream(1500, seed=21), _stream(1500, seed=22)
-        live = build("pcg64", 59)
-        live.update_from_stream(first)
-
-        legacy = live.to_dict()
-        legacy.pop("rng_scheme", None)
-        if "reservoir" in legacy:
-            legacy["reservoir"] = dict(legacy["reservoir"])
-            legacy["reservoir"].pop("scheme", None)
-            assert "rng" in legacy["reservoir"]
-        else:
-            assert "rng" in legacy
-
-        revived = type(live).from_dict(legacy)
-        assert getattr(revived, "rng_scheme", "pcg64") == "pcg64"
-
-        live.update_from_stream(second)
-        revived.update_from_stream(second)
-        assert revived.estimate() == live.estimate()
-        live_dict, revived_dict = live.to_dict(), revived.to_dict()
-        assert revived_dict == live_dict
-
-    @pytest.mark.parametrize("build", SAMPLERS)
     def test_counter_snapshot_carries_scheme_and_seed(self, build):
-        live = build("counter", 61)
+        live = build(61)
         live.update_from_stream(_stream(400, seed=2))
         payload = live.to_dict()
         inner = payload.get("reservoir", payload)
@@ -405,19 +364,18 @@ class TestSnapshotRoundTrips:
 # Reservoir primitive (shared by naivesampling)
 # ----------------------------------------------------------------------
 class TestReservoirOfferArray:
-    @pytest.mark.parametrize("scheme", SCHEMES)
-    def test_offer_array_matches_scalar_offers(self, scheme):
+    def test_offer_array_matches_scalar_offers(self):
         values = _stream(4000, seed=29)
-        a = ReservoirSample(32, seed=71, scheme=scheme)
+        a = ReservoirSample(32, seed=71)
         for v in values.tolist():
             a.offer(v)
-        b = ReservoirSample(32, seed=71, scheme=scheme)
+        b = ReservoirSample(32, seed=71)
         b.offer_array(values)
         assert a.to_dict() == b.to_dict()
 
     def test_offer_repeated_matches_expansion(self):
-        a = ReservoirSample(16, seed=73, scheme="counter")
+        a = ReservoirSample(16, seed=73)
         a.offer_repeated(9, 3000)
-        b = ReservoirSample(16, seed=73, scheme="counter")
+        b = ReservoirSample(16, seed=73)
         b.offer_array(np.full(3000, 9, dtype=np.int64))
         assert a.to_dict() == b.to_dict()
