@@ -492,7 +492,7 @@ def cluster_section(args, n: int) -> tuple[list[str], dict]:
     for num_shards in (1, 2, 4, 8):
         config = store_config(WindowedSketchStore(spec, bucket_width=1))
         with LocalCluster(config, num_shards) as cluster, \
-                ClusterService(cluster.clients()) as service:
+                ClusterService(cluster.replica_clients()) as service:
             # Two client threads keep the wire full: encode of batch
             # k+1 overlaps the workers' decode+ingest of batch k.
             with ThreadPoolExecutor(max_workers=2) as pool:
@@ -630,7 +630,7 @@ def wire_section(args, n: int) -> tuple[list[str], dict]:
         for _ in range(repeats):
             config = store_config(WindowedSketchStore(spec, bucket_width=1))
             with LocalCluster(config, 2, protocol=protocol) as cluster, \
-                    ClusterService(cluster.clients()) as service:
+                    ClusterService(cluster.replica_clients()) as service:
                 front = EventLoopServer(
                     service, ("127.0.0.1", 0), read_timeout=600.0
                 )

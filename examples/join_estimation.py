@@ -6,8 +6,9 @@ relation (k words each, maintained incrementally), and shows:
 
 1. pairwise join-size estimates from signatures alone, with the
    Lemma 4.4 error bound alongside;
-2. a greedy optimizer choosing a join order from the k-TW catalog vs
-   from exact statistics vs from a sample catalog at equal storage;
+2. the greedy planner (``repro.planner``) choosing a join order from
+   the k-TW catalog vs from exact statistics vs from a sample catalog
+   at equal storage, each plan re-priced under the true join sizes;
 3. the Section 4.4 crossover: when self-join sizes are small relative
    to n*sqrt(B), k-TW needs far fewer words than sampling.
 
@@ -18,9 +19,16 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro import Relation, SampleCatalog, SignatureCatalog, choose_join_order
+from repro import (
+    ExactCardinalities,
+    JoinGraph,
+    Relation,
+    SampleCatalog,
+    SignatureCatalog,
+    enumerate_greedy,
+    evaluate_plan,
+)
 from repro.core.bounds import ktw_signature_words, sample_signature_words
-from repro.relational.optimizer import plan_cost
 
 
 def build_database(rng: np.random.Generator) -> dict[str, np.ndarray]:
@@ -64,17 +72,14 @@ def main() -> None:
             )
 
     # --- optimizer comparison -------------------------------------------
-    class ExactOracle:
-        def join_estimate(self, a: str, b: str) -> float:
-            return float(relations[a].join_size(relations[b]))
-
-    oracle = ExactOracle()
-    for label, catalog in [("exact", oracle), ("k-TW", ktw), ("sample", sample)]:
-        plan = choose_join_order(names, sizes, catalog)
-        true_cost = plan_cost(plan.order, sizes, oracle.join_estimate)
+    graph = JoinGraph.clique(sizes)
+    exact = ExactCardinalities(relations)
+    for label, catalog in [("exact", exact), ("k-TW", ktw), ("sample", sample)]:
+        plan = enumerate_greedy(graph, catalog)
+        true_cost = evaluate_plan(plan, graph, exact).cost
         print(
-            f"\n{label:<7} plan: {' >> '.join(plan.order)}"
-            f"\n        estimated cost {plan.estimated_cost:,.0f}, "
+            f"\n{label:<7} plan: {' >> '.join(plan.order())}"
+            f"\n        estimated cost {plan.cost:,.0f}, "
             f"true cost {true_cost:,.0f}"
         )
 

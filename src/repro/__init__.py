@@ -21,8 +21,9 @@ join-size estimates between relations.  The **service** layer
 :class:`SketchService` / :class:`CatalogService` add reader–writer
 snapshot isolation, a merged-window LRU cache with per-dirty-bucket
 invalidation, and request coalescing, and
-:class:`SketchServiceServer` (the ``repro serve`` command) exposes it
-all as line-delimited JSON over TCP.  The **cluster** layer
+:class:`~repro.service.aserver.EventLoopServer` (the ``repro serve``
+command) serves it over TCP as line-delimited JSON or binary frames,
+chosen per connection.  The **cluster** layer
 (:mod:`repro.cluster`) scales that out across processes:
 :class:`LocalCluster` spawns hash-partitioned shard workers and
 :class:`ClusterService` (``repro serve --shards N``) routes ingest by
@@ -55,8 +56,6 @@ from .cluster import (
     ShardClient,
     ShardMergeUnsupportedError,
     ShardUnreachableError,
-    gather_merge,
-    partitioned_build,
 )
 from .core import (
     MERSENNE_PRIME_31,
@@ -105,7 +104,6 @@ from .engine import (
     load_sketch,
     loads_sketch,
     merge_sketches,
-    shard_stream,
     sharded_build,
     sketch_kinds,
 )
@@ -127,10 +125,7 @@ from .relational import (
     SampleCatalog,
     SignatureCatalog,
     UnknownRelationError,
-    UnknownRelationSizeError,
     WindowedSignatureCatalog,
-    choose_join_order,
-    plan_cost,
 )
 from .service import CatalogService, KeyedSketchService, SketchService, SketchServiceServer
 from .store import (
@@ -203,7 +198,6 @@ __all__ = [
     "coalesce_operations",
     "ingest_stream",
     "ingest_operations",
-    "shard_stream",
     "merge_sketches",
     "sharded_build",
     "Partitioner",
@@ -215,17 +209,12 @@ __all__ = [
     "ShardClient",
     "ShardMergeUnsupportedError",
     "ShardUnreachableError",
-    "gather_merge",
-    "partitioned_build",
     # relational layer
     "Relation",
     "SignatureCatalog",
     "SampleCatalog",
     "WindowedSignatureCatalog",
     "UnknownRelationError",
-    "UnknownRelationSizeError",
-    "choose_join_order",
-    "plan_cost",
     # planner: join graphs, enumerators, estimator policies
     "JoinGraph",
     "PlanNode",

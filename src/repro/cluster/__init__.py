@@ -5,13 +5,11 @@ value-partitioned stream is the elementwise sum of per-partition
 sketches built from the same seed.  Horizontal scale-out is therefore
 mathematically free, and this package cashes it in:
 
-* :mod:`repro.cluster.partitioned` — the socket-free algebra:
-  value-hash partition → per-shard build → gather-merge, bit-identical
-  to the monolithic sketch for every mergeable kind (property-tested
-  over shard counts and signed streams);
 * :mod:`repro.cluster.worker` — a shard worker: one empty windowed
-  store from the cluster-wide spec, served by the same generalized
-  line-delimited JSON server as single-node ``repro serve``;
+  store from the cluster-wide spec behind the threaded
+  :class:`~repro.service.server.SketchServiceServer`, which speaks
+  line-JSON and binary frames through the same op table as
+  single-node ``repro serve``;
 * :mod:`repro.cluster.local` — :class:`LocalCluster`, spawning N
   shards x R replicas on ephemeral ports with clean shutdown, plus
   the supervisor surface (``respawn``, ``spawn_replica_set``) that
@@ -22,9 +20,12 @@ mathematically free, and this package cashes it in:
 * :mod:`repro.cluster.service` — :class:`ClusterService`, the
   cluster-aware facade satisfying the same estimate / sketch / ingest
   / info surface as :class:`~repro.service.service.SketchService`, so
-  the wire dispatch table and the CLI serve a fleet unchanged; adds
-  replica-set fan-out, hedged / quorum reads with read repair,
-  dead-replica recovery, and time-keyed epoch resharding;
+  the wire dispatch table and the CLI serve a fleet unchanged; its
+  gather step merges per-shard window sketches, bit-identical to the
+  monolithic sketch for every mergeable kind (linearity over the
+  value partition).  Adds replica-set fan-out, hedged / quorum reads
+  with read repair, dead-replica recovery, and time-keyed epoch
+  resharding;
 * :mod:`repro.cluster.faults` — deterministic fault injection for
   tests and chaos drills (:class:`FaultInjector` signals,
   :class:`DropRequests` / :class:`StallRequests` client hooks);
@@ -42,7 +43,6 @@ from .errors import (
 )
 from .faults import DropRequests, FaultInjector, StallRequests
 from .local import LocalCluster, WorkerProcess
-from .partitioned import gather_merge, partitioned_build, scatter_build
 from .service import ClusterService
 from .worker import build_store, run_worker, store_config
 
@@ -59,9 +59,6 @@ __all__ = [
     "FaultInjector",
     "DropRequests",
     "StallRequests",
-    "scatter_build",
-    "gather_merge",
-    "partitioned_build",
     "store_config",
     "build_store",
     "run_worker",

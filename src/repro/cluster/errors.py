@@ -49,7 +49,14 @@ class ShardUnreachableError(ConnectionError):
 
 
 class ShardProtocolError(ValueError):
-    """A shard worker answered outside the line-delimited JSON protocol."""
+    """A shard broke the wire protocol, or an ingest's delivery is ambiguous.
+
+    Raised for a reply that is neither valid line-JSON nor a
+    well-formed binary response frame (malformed frame, mispaired
+    opcode, undecodable payload, no ``ok`` field), for an op with no
+    binary opcode, and for an ``ingest`` the client cannot tell was
+    applied.
+    """
 
 
 class ClusterConfigError(ValueError):

@@ -251,14 +251,6 @@ class LocalCluster:
         """The worker processes, grouped by replica set, in shard order."""
         return [list(group) for group in self._sets]
 
-    def clients(self) -> list[ShardClient]:
-        """One wire client per replica set (the primary), in shard order.
-
-        With ``replication=1`` this is every worker — the original
-        single-replica cluster surface, unchanged.
-        """
-        return [group[0].client for group in self._sets]
-
     def replica_clients(self) -> list[list[ShardClient]]:
         """Every replica's wire client, grouped by set, in shard order."""
         return [[worker.client for worker in group] for group in self._sets]

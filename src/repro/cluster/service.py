@@ -13,12 +13,11 @@ CLI — works unchanged against a fleet of shard workers:
   per-shard sub-streams are a value partition of the global stream,
   and a deletion reaches the shard holding the inserts it retracts.
 * **Queries** scatter the window to every shard, gather the per-shard
-  merged sketches over the wire, and
-  :func:`~repro.cluster.partitioned.gather_merge` them — for every
-  mergeable kind the result is **bit-identical** to a monolithic
-  :class:`~repro.store.windowed.WindowedSketchStore` over the same
-  stream (linearity: elementwise integer sums commute with the
-  partition).  Non-mergeable sampler kinds are refused at
+  merged sketches over the wire, and :func:`gather_merge` them — for
+  every mergeable kind the result is **bit-identical** to a
+  monolithic :class:`~repro.store.windowed.WindowedSketchStore` over
+  the same stream (linearity: elementwise integer sums commute with
+  the partition).  Non-mergeable sampler kinds are refused at
   construction with a typed
   :class:`~repro.cluster.errors.ShardMergeUnsupportedError`.
 * **Windows** are resolved to a common fixpoint: under
@@ -69,6 +68,7 @@ import numpy as np
 from ..engine.partition import HashPartitioner, key_digest, stable_hash64
 from ..engine.protocol import Sketch
 from ..engine.registry import load_sketch
+from ..engine.sharded import merge_sketches
 from ..service.service import WindowEstimate
 from ..store.spec import SketchSpec
 from .client import ShardRequestError
@@ -78,7 +78,6 @@ from .errors import (
     ShardProtocolError,
     ShardUnreachableError,
 )
-from .partitioned import gather_merge
 
 __all__ = ["ClusterService", "DEFAULT_HEDGE_DELAY"]
 
@@ -89,6 +88,15 @@ _MAX_ALIGN_ROUNDS = 32
 #: same request to the next one.  Far above a healthy local worker's
 #: service time (tens of microseconds), far below any timeout.
 DEFAULT_HEDGE_DELAY = 0.05
+
+
+def gather_merge(sketches: Sequence[Sketch]) -> Sketch:
+    """Balanced-tree merge of the per-unit window sketches of a query.
+
+    The gather step of scatter–gather, kept as a module-level function
+    of its own so a tracer can time it apart from the merges inside it.
+    """
+    return merge_sketches(sketches)
 
 
 class _Replica:
@@ -177,11 +185,12 @@ class ClusterService:
     Parameters
     ----------
     clients:
-        Either one :class:`~repro.cluster.client.ShardClient` per
-        shard (the replication-free fleet) or one *sequence* of
-        clients per shard — a replica set, primary first.  Shard
-        order **is** the partition map, so it must match the order
-        ingest has always used against these workers.
+        One replica set per shard: a sequence of
+        :class:`~repro.cluster.client.ShardClient`, primary first
+        (``[[client], ...]`` for an unreplicated fleet, or
+        :meth:`~repro.cluster.local.LocalCluster.replica_clients`).
+        Shard order **is** the partition map, so it must match the
+        order ingest has always used against these workers.
     partition_seed:
         Seed of the value-hash partitioner.  Defaults to the sketch
         spec's own seed, so a front end restarted against the same
@@ -206,8 +215,9 @@ class ClusterService:
     Raises
     ------
     ClusterConfigError:
-        No shards, unreachable shards at construction, or workers
-        whose spec / bucket geometry disagree.
+        No shards, a shard given as a bare client or an empty replica
+        set, unreachable shards at construction, or workers whose
+        spec / bucket geometry disagree.
     ShardMergeUnsupportedError:
         The workers hold a sampler kind that cannot be gather-merged.
     """
@@ -230,14 +240,16 @@ class ClusterService:
         sets: list[list[_Replica]] = []
         for entry in clients:
             if hasattr(entry, "request"):
-                sets.append([_Replica(entry)])
-            else:
-                group = [_Replica(c) for c in entry]
-                if not group:
-                    raise ClusterConfigError(
-                        "a replica set needs at least one replica"
-                    )
-                sets.append(group)
+                raise ClusterConfigError(
+                    "each shard is a replica set: pass [[client], ...] "
+                    "(or LocalCluster.replica_clients()), not bare clients"
+                )
+            group = [_Replica(c) for c in entry]
+            if not group:
+                raise ClusterConfigError(
+                    "a replica set needs at least one replica"
+                )
+            sets.append(group)
         self._supervisor = supervisor
         self._hedge_delay = None if hedge_delay is None else float(hedge_delay)
         self._read_mode = read_mode
@@ -714,19 +726,18 @@ class ClusterService:
         )
         if len(self._epochs) == 1:
             # Fast path: no epoch boundaries to consult.
-            assignments = [(0, self._epochs[0], None)]
+            assignments = [(self._epochs[0], None)]
         else:
             starts = np.asarray(
                 [epoch.start for epoch in self._epochs[1:]], dtype=np.int64
             )
             owner = np.searchsorted(starts, ts, side="right")
             assignments = [
-                (e, epoch, np.flatnonzero(owner == e))
+                (epoch, np.flatnonzero(owner == e))
                 for e, epoch in enumerate(self._epochs)
             ]
         futures: dict = {}
-        targeted: set[tuple[int, int]] = set()
-        for e, epoch, selection in assignments:
+        for epoch, selection in assignments:
             epoch_route = route if selection is None else route[selection]
             if epoch_route.size == 0:
                 continue
@@ -750,15 +761,13 @@ class ClusterService:
                     payload["counts"] = cnts[idx]
                 if key is not None:
                     payload["key"] = key
-                targeted.add((e, shard))
                 for replica in self._targets(epoch.sets[shard]):
                     futures[
                         self._pool.submit(replica.client.request, dict(payload))
-                    ] = ((e, shard), replica)
-        acks = {unit: 0 for unit in targeted}
+                    ] = replica
         request_error = None
         unexpected = None
-        for future, (shard, replica) in futures.items():
+        for future, replica in futures.items():
             try:
                 future.result()
             except ShardRequestError as exc:
@@ -772,7 +781,6 @@ class ClusterService:
                 if unexpected is None:
                     unexpected = exc
             else:
-                acks[shard] += 1
                 self._clear_if_marked(replica)
         if unexpected is not None:
             raise unexpected
@@ -1160,9 +1168,9 @@ class ClusterService:
         The partitioner config is part of the snapshot because the
         shard stores are only meaningful under the assignment that
         filled them — restoring onto a different shard count or seed
-        would break the value-partition invariant.  The top-level
-        ``partitioner`` / ``shards`` keys describe the current epoch
-        (the pre-resharding format); ``epochs`` carries every epoch.
+        would break the value-partition invariant.  ``epochs`` carries
+        one ``{"partitioner", "start", "shards"}`` entry per epoch,
+        oldest first.
         """
         responses = self._scatter_read({"op": "snapshot"})
         stores = [r["snapshot"] for r in responses]
@@ -1180,8 +1188,6 @@ class ClusterService:
             offset += count
         return {
             "kind": "cluster-snapshot",
-            "partitioner": self._epochs[-1].partitioner.to_dict(),
-            "shards": epochs_out[-1]["shards"],
             "epochs": epochs_out,
             "replication": [len(replicas) for replicas in self._epochs[-1].sets],
         }
@@ -1195,19 +1201,16 @@ class ClusterService:
         Every replica of a set receives the same absolute state, which
         also heals any divergence as a side effect.
         """
-        if not isinstance(snapshot, Mapping) or snapshot.get("kind") != "cluster-snapshot":
+        if (
+            not isinstance(snapshot, Mapping)
+            or snapshot.get("kind") != "cluster-snapshot"
+            or "epochs" not in snapshot
+        ):
             raise ClusterConfigError(
-                "restore needs a cluster-snapshot mapping (see snapshot())"
+                "restore needs a cluster-snapshot mapping with an "
+                "'epochs' list (see snapshot())"
             )
-        if "epochs" in snapshot:
-            epochs_in = list(snapshot["epochs"])
-        else:
-            epochs_in = [
-                {
-                    "partitioner": snapshot.get("partitioner"),
-                    "shards": snapshot.get("shards"),
-                }
-            ]
+        epochs_in = list(snapshot["epochs"])
         if len(epochs_in) != len(self._epochs):
             raise ClusterConfigError(
                 f"snapshot has {len(epochs_in)} epoch(s), this cluster has "

@@ -4,9 +4,10 @@ A worker is deliberately boring — that is the point of the multi-layer
 refactor.  It is nothing but an empty
 :class:`~repro.store.windowed.WindowedSketchStore` built from a
 cluster-wide :class:`~repro.store.spec.SketchSpec` template, fronted
-by the same :class:`~repro.service.service.SketchService` and
-:class:`~repro.service.server.SketchServiceServer` that power
-single-node ``repro serve``.  The generalized dispatch table already
+by the same :class:`~repro.service.service.SketchService` as
+single-node ``repro serve`` and served by the threaded
+:class:`~repro.service.server.SketchServiceServer` (line-JSON and
+binary frames on one port).  The generalized dispatch table already
 speaks every op the cluster needs (``ingest``, ``sketch``, ``info``,
 ``snapshot``, ``shutdown``), so the worker adds exactly one thing: a
 machine-readable *ready line* on stdout announcing the ephemeral port

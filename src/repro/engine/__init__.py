@@ -46,7 +46,7 @@ from .registry import (
     sketch_descriptions,
     sketch_kinds,
 )
-from .sharded import merge_sketches, shard_stream, sharded_build
+from .sharded import merge_sketches, sharded_build
 
 __all__ = [
     "Sketch",
@@ -65,7 +65,6 @@ __all__ = [
     "ingest_stream",
     "ingest_operations",
     "replay_batched",
-    "shard_stream",
     "merge_sketches",
     "sharded_build",
     "Partitioner",

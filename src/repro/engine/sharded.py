@@ -30,34 +30,12 @@ from typing import Callable, Iterable, List, Sequence, TypeVar
 
 import numpy as np
 
-from .partition import Partitioner
+from .partition import ContiguousPartitioner, Partitioner
 from .protocol import Sketch
 
-__all__ = ["shard_stream", "merge_sketches", "sharded_build"]
+__all__ = ["merge_sketches", "sharded_build"]
 
 S = TypeVar("S", bound=Sketch)
-
-
-def shard_stream(
-    values: np.ndarray | Iterable[int], num_shards: int
-) -> List[np.ndarray]:
-    """Split a stream into ``num_shards`` contiguous pieces.
-
-    Contiguous splitting preserves stream order within each shard
-    (irrelevant for linear sketches, but it keeps the partition
-    meaningful for order-aware consumers) and costs one pass.  Shard
-    sizes differ by at most one element; empty shards are possible when
-    the stream is shorter than the shard count.
-    """
-    if num_shards < 1:
-        raise ValueError(f"num_shards must be >= 1, got {num_shards}")
-    arr = np.asarray(values, dtype=np.int64)
-    if arr.ndim != 1:
-        raise ValueError(f"stream must be 1-D, got shape {arr.shape}")
-    # np.array_split is the zero-copy fast path for the contiguous
-    # policy; the partitioner tests assert it slices identically to
-    # ContiguousPartitioner.split, so the semantics live in one place.
-    return [np.ascontiguousarray(piece) for piece in np.array_split(arr, num_shards)]
 
 
 def merge_sketches(sketches: Sequence[S]) -> S:
@@ -123,14 +101,9 @@ def sharded_build(
     the whole stream, for any linear sketch.
     """
     if partitioner is None:
-        shards = shard_stream(values, num_shards)
-    else:
-        arr = np.asarray(values, dtype=np.int64)
-        if arr.ndim != 1:
-            raise ValueError(f"stream must be 1-D, got shape {arr.shape}")
-        shards = [
-            np.ascontiguousarray(arr[idx]) for idx in partitioner.split(arr)
-        ]
+        partitioner = ContiguousPartitioner(num_shards)
+    arr = np.asarray(values, dtype=np.int64)
+    shards = [arr[idx] for idx in partitioner.split(arr)]
 
     def build_one(shard: np.ndarray) -> S:
         sketch = factory()

@@ -22,8 +22,10 @@ inflated) estimation as a first-class policy.
   exact enumeration (left-deep and bushy) with deterministic
   tie-breaking and typed :class:`CrossProductError` rejection.
 
-The legacy ``choose_join_order`` / ``plan_cost`` API in
-:mod:`repro.relational.optimizer` is a thin adapter over this package.
+Choosing a join order over relations that may all join pairwise is
+``enumerate_greedy(JoinGraph.clique(sizes), catalog)``; pricing that
+plan under truth is ``evaluate_plan(tree, graph,
+ExactCardinalities(relations))``.
 """
 
 from .estimators import (

@@ -6,7 +6,7 @@ and the accumulated cost under the classic sum-of-intermediates model
 (leaf scans are free; each join node adds its own output cardinality).
 
 :func:`render_plan` is the one rendering routine — the CLI's plan
-printer and ``JoinPlan.__str__`` both call it, so there is no cosmetic
+printer and ``PlanNode.__str__`` both call it, so there is no cosmetic
 untested twin.  :func:`evaluate_plan` re-prices a fixed tree shape
 under a different estimator, which is how plan-quality *regret* is
 measured: enumerate under a cheap policy, re-cost the winner under

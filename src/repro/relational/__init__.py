@@ -1,4 +1,4 @@
-"""Relational substrate: relations, signature catalogs, plan selection.
+"""Relational substrate: relations and signature catalogs.
 
 The paper motivates join-size tracking with query optimization: an
 optimizer must choose between join plans using fast, high-quality size
@@ -15,24 +15,13 @@ way a database would:
 * :class:`~repro.relational.windowed.WindowedSignatureCatalog` — the
   same signature scheme with a time axis: per-relation windowed sketch
   stores (see :mod:`repro.store`) answering join estimates restricted
-  to any bucket-aligned time window;
-* :func:`~repro.relational.optimizer.choose_join_order` /
-  :func:`~repro.relational.optimizer.plan_cost` — the legacy greedy
-  join-ordering surface, now a thin adapter over the
-  :mod:`repro.planner` subsystem (join graphs, greedy + DP
-  enumerators, pluggable exact / sketch / bound-aware estimator
-  policies), used to demonstrate end-to-end that better estimates pick
-  better plans.
+  to any bucket-aligned time window.
+
+Every catalog answers ``join_estimate(left, right)``, the estimator
+protocol :mod:`repro.planner` enumerates join orders over.
 """
 
 from .catalog import SampleCatalog, SignatureCatalog, UnknownRelationError
-from .optimizer import (
-    CrossProductError,
-    JoinPlan,
-    UnknownRelationSizeError,
-    choose_join_order,
-    plan_cost,
-)
 from .relation import Relation
 from .windowed import WindowedSignatureCatalog
 
@@ -42,9 +31,4 @@ __all__ = [
     "SampleCatalog",
     "WindowedSignatureCatalog",
     "UnknownRelationError",
-    "UnknownRelationSizeError",
-    "CrossProductError",
-    "JoinPlan",
-    "choose_join_order",
-    "plan_cost",
 ]

@@ -35,11 +35,15 @@ WindowedSketchStore`; :class:`CatalogService` wraps a
 same machinery, caching windowed join / self-join estimates per
 relation pair and invalidating only the entries that mention a dirtied
 relation.  ``CatalogService.at_window`` adapts a fixed window to the
-``join_estimate(left, right)`` protocol the optimizer consumes, so a
-join order can be chosen from cached windowed estimates directly.
+``join_estimate(left, right)`` protocol the :mod:`repro.planner`
+enumerators consume, so a join order can be chosen from cached
+windowed estimates directly.
 
-The wire-facing twin of this module is :mod:`repro.service.server`
-(line-delimited JSON over TCP, the ``repro serve`` CLI command).
+The ``repro serve`` CLI command puts this module on the wire through
+:class:`~repro.service.aserver.EventLoopServer` (line-delimited JSON
+and binary frames on one port); shard workers use the threaded
+:class:`~repro.service.server.SketchServiceServer`, which speaks the
+same two protocols.
 """
 
 from __future__ import annotations
@@ -552,12 +556,13 @@ class CatalogService:
         return self._cache.get(key, compute)
 
     def at_window(self, t0: int, t1: int, align: str = "strict"):
-        """A fixed-window view usable anywhere an
-        :class:`~repro.relational.optimizer.EstimatingCatalog` is —
-        e.g. ``choose_join_order(names, sizes, service.at_window(0, 3600))``
-        picks a join order from cached windowed estimates.  The view
-        also answers ``join_error_bound``, so it satisfies the
-        planner's bound-aware backend protocol
+        """A fixed-window view usable anywhere a
+        :class:`~repro.planner.estimators.CardinalityEstimator` is —
+        e.g. ``enumerate_greedy(JoinGraph.clique(sizes),
+        service.at_window(0, 3600))`` picks a join order from cached
+        windowed estimates.  The view also answers
+        ``join_error_bound``, so it satisfies the planner's bound-aware
+        backend protocol
         (:class:`~repro.planner.estimators.ErrorBoundedCatalog`).
         """
         return _WindowView(self, t0, t1, align)

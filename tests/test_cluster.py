@@ -3,10 +3,10 @@
 Three rings, from algebra to processes:
 
 1. **Socket-free algebra** — value-hash partition → per-shard build →
-   gather-merge is bit-identical to the monolithic sketch for every
-   mergeable kind (hypothesis sweeps signed streams and shard counts
-   1–8), and the sampler kinds raise the typed
-   :class:`ShardMergeUnsupportedError`.
+   merge is bit-identical to the monolithic sketch for every mergeable
+   kind (hypothesis sweeps signed streams and shard counts 1–8), and
+   the sampler kinds refuse to merge across shards; a cluster of
+   in-process sampler shards is refused with a typed error.
 2. **Facade semantics** — :class:`ClusterService` routing, window
    fixpoint resolution under divergent per-shard compaction, config
    validation, and the generalized dispatch table serving a cluster.
@@ -34,13 +34,16 @@ from repro.cluster import (
     ShardRequestError,
     ShardUnreachableError,
     build_store,
-    gather_merge,
-    partitioned_build,
-    scatter_build,
     store_config,
 )
-from repro.engine import HashPartitioner, dump_sketch
-from repro.service import handle_request
+from repro.engine import (
+    HashPartitioner,
+    MergeUnsupportedError,
+    dump_sketch,
+    merge_sketches,
+    sharded_build,
+)
+from repro.service import SketchService, handle_request
 from repro.store import SketchSpec, WindowedSketchStore
 
 MERGEABLE_KINDS = {
@@ -93,6 +96,43 @@ def signed_streams():
     return build()
 
 
+def build_per_shard(spec, values, counts, partitioner):
+    """Per-shard signed builds over a value partition, then one merge.
+
+    What a fleet's workers hold and its front end gathers, minus the
+    wire.  ``sharded_build`` covers insert-only streams; signed ones
+    are built here.
+    """
+    vals = np.asarray(values, dtype=np.int64)
+    cnts = np.asarray(counts, dtype=np.int64)
+    parts = []
+    for idx in partitioner.split(vals):
+        sketch = spec.build()
+        sketch.update_from_frequencies(vals[idx], cnts[idx])
+        parts.append(sketch)
+    return merge_sketches(parts)
+
+
+class InProcessShard:
+    """A one-replica shard answering from a service in this process.
+
+    Speaks the dispatch table like a worker does, so a
+    :class:`ClusterService` can be pointed at it without spawning one.
+    """
+
+    address = "in-process"
+
+    def __init__(self, spec: SketchSpec):
+        self._service = SketchService(WindowedSketchStore(spec, bucket_width=10))
+
+    def request(self, payload):
+        return handle_request(self._service, json.dumps(payload))
+
+
+def in_process_shards(spec: SketchSpec, num_shards: int) -> list[list]:
+    return [[InProcessShard(spec)] for _ in range(num_shards)]
+
+
 class TestPartitionedAlgebra:
     @pytest.mark.parametrize("kind,params", sorted(MERGEABLE_KINDS.items()))
     @pytest.mark.parametrize("num_shards", [1, 2, 3, 8])
@@ -101,28 +141,38 @@ class TestPartitionedAlgebra:
         stream = rng.integers(0, 200, size=4000)
         mono = spec.build()
         mono.update_from_stream(stream)
-        built = partitioned_build(spec, stream, num_shards, seed=5)
+        built = sharded_build(
+            spec.build, stream, partitioner=HashPartitioner(num_shards, seed=5)
+        )
         assert dump_sketch(built) == dump_sketch(mono)
+
+    @pytest.mark.parametrize("kind,params", sorted(SAMPLER_KINDS.items()))
+    @pytest.mark.parametrize("num_shards", [2, 4])
+    def test_sampler_kinds_do_not_merge_across_shards(
+        self, kind, params, num_shards
+    ):
+        spec = SketchSpec(kind, params)
+        assert not spec.is_mergeable  # what ClusterService refuses on
+        with pytest.raises(MergeUnsupportedError):
+            sharded_build(
+                spec.build, [1, 2, 3], partitioner=HashPartitioner(num_shards)
+            )
 
     @pytest.mark.parametrize("kind,params", sorted(SAMPLER_KINDS.items()))
     @pytest.mark.parametrize("num_shards", [1, 4])
     def test_sampler_kinds_raise_typed_error(self, kind, params, num_shards):
-        spec = SketchSpec(kind, params)
+        shards = in_process_shards(SketchSpec(kind, params), num_shards)
         with pytest.raises(ShardMergeUnsupportedError, match="scatter"):
-            partitioned_build(spec, [1, 2, 3], num_shards)
+            ClusterService(shards)
 
     def test_typed_error_is_a_merge_unsupported_error(self):
-        from repro.engine import MergeUnsupportedError
-
         assert issubclass(ShardMergeUnsupportedError, MergeUnsupportedError)
 
-    def test_scatter_build_routes_deletes_with_their_inserts(self):
+    def test_value_partition_routes_deletes_with_their_inserts(self):
         spec = SketchSpec("frequency", {})
-        partitioner = HashPartitioner(4, seed=1)
-        values = [5, 9, 5, 9, 5]
-        counts = [2, 3, -1, -3, -1]
-        parts = scatter_build(spec, values, partitioner, counts=counts)
-        merged = gather_merge(parts)
+        merged = build_per_shard(
+            spec, [5, 9, 5, 9, 5], [2, 3, -1, -3, -1], HashPartitioner(4, seed=1)
+        )
         assert merged.estimate() == 0.0  # everything retracted exactly
 
     @given(stream=signed_streams(), k=st.integers(min_value=1, max_value=8))
@@ -134,7 +184,9 @@ class TestPartitionedAlgebra:
             mono = spec.build()
             if values:
                 mono.update_from_frequencies(values, counts)
-            built = partitioned_build(spec, values, k, seed=3, counts=counts)
+            built = build_per_shard(
+                spec, values, counts, HashPartitioner(k, seed=3)
+            )
             assert dump_sketch(built) == dump_sketch(mono)
 
     @given(k=st.integers(min_value=1, max_value=8))
@@ -142,7 +194,7 @@ class TestPartitionedAlgebra:
     def test_sampler_kinds_typed_error_any_shard_count(self, k):
         for kind, params in SAMPLER_KINDS.items():
             with pytest.raises(ShardMergeUnsupportedError):
-                partitioned_build(SketchSpec(kind, params), [1, 2], k)
+                ClusterService(in_process_shards(SketchSpec(kind, params), k))
 
 
 def make_template(**kwargs) -> WindowedSketchStore:
@@ -159,7 +211,7 @@ def two_shard_cluster():
 
 @pytest.fixture()
 def cluster_service(two_shard_cluster):
-    service = ClusterService(two_shard_cluster.clients())
+    service = ClusterService(two_shard_cluster.replica_clients())
     yield service
     # Reset worker state between tests: evict everything ever stored
     # (the horizon must lie on a bucket boundary).  Closing the shared
@@ -194,6 +246,24 @@ class TestClusterServiceEndToEnd:
         cluster_service.ingest(ts[half], vals[half], counts=-np.ones(400, np.int64))
         mono.ingest(ts[half], vals[half], counts=-np.ones(400, np.int64))
         assert cluster_service.estimate(0, 100) == mono.estimate(0, 100)
+
+    def test_window_queries_gather_through_gather_merge(
+        self, cluster_service, monkeypatch
+    ):
+        # Tracers time the gather step by patching this module attribute.
+        from repro.cluster import service as cluster_module
+
+        gathered = []
+
+        def counting(sketches):
+            gathered.append(len(sketches))
+            return merge_sketches(sketches)
+
+        cluster_service.ingest([1, 12], [3, 4])
+        expected = cluster_service.estimate(0, 20)
+        monkeypatch.setattr(cluster_module, "gather_merge", counting)
+        assert cluster_service.estimate(0, 20) == expected
+        assert gathered == [2]  # one sketch per shard
 
     def test_estimate_window_reports_resolved_bounds(self, cluster_service):
         cluster_service.ingest([5, 25], [1, 2])
@@ -251,15 +321,27 @@ class TestClusterServiceEndToEnd:
         vals = rng.integers(0, 80, size=500)
         cluster_service.ingest(ts, vals)
         snapshot = cluster_service.snapshot()
+        assert set(snapshot) == {"kind", "epochs", "replication"}
         assert snapshot["kind"] == "cluster-snapshot"
-        assert snapshot["partitioner"]["policy"] == "hash"
-        assert snapshot["partitioner"]["num_shards"] == 2
+        epoch = snapshot["epochs"][-1]
+        assert epoch["partitioner"]["policy"] == "hash"
+        assert epoch["partitioner"]["num_shards"] == 2
         restored = [
             WindowedSketchStore.from_dict(payload)
-            for payload in snapshot["shards"]
+            for payload in epoch["shards"]
         ]
-        merged = gather_merge([s.query(0, 100) for s in restored])
+        merged = merge_sketches([s.query(0, 100) for s in restored])
         assert merged.estimate() == cluster_service.estimate(0, 100)
+
+    def test_restore_refuses_a_snapshot_without_epochs(self, cluster_service):
+        epoch = cluster_service.snapshot()["epochs"][-1]
+        flat = {
+            "kind": "cluster-snapshot",
+            "partitioner": epoch["partitioner"],
+            "shards": epoch["shards"],
+        }
+        with pytest.raises(ClusterConfigError, match="'epochs'"):
+            cluster_service.restore(flat)
 
     def test_compact_and_outer_fixpoint_across_divergent_shards(
         self, cluster_service
@@ -293,7 +375,14 @@ class TestClusterValidation:
     def test_unreachable_shard_is_typed(self):
         client = ShardClient("127.0.0.1", 1)  # nothing listens on port 1
         with pytest.raises(ShardUnreachableError, match="unreachable"):
+            ClusterService([[client]])
+
+    def test_bare_clients_refused(self):
+        client = ShardClient("127.0.0.1", 1)
+        with pytest.raises(ClusterConfigError, match="replica set"):
             ClusterService([client])
+        with pytest.raises(ClusterConfigError, match="at least one replica"):
+            ClusterService([[]])
 
     def test_mismatched_workers_rejected(self):
         template_a = make_template()
@@ -302,7 +391,9 @@ class TestClusterValidation:
         with LocalCluster(store_config(template_a), 1) as a, \
                 LocalCluster(store_config(template_b), 1) as b:
             with pytest.raises(ClusterConfigError, match="disagrees on spec"):
-                ClusterService([a.clients()[0], b.clients()[0]])
+                ClusterService(
+                    [a.replica_clients()[0], b.replica_clients()[0]]
+                )
 
     def test_sampler_cluster_refused_with_typed_error(self):
         spec = SketchSpec("samplecount", {"s1": 8, "s2": 2, "seed": 1})
@@ -311,10 +402,10 @@ class TestClusterValidation:
         )
         with LocalCluster(store_config(store), 1) as cluster:
             with pytest.raises(ShardMergeUnsupportedError, match="samplecount"):
-                ClusterService(cluster.clients())
+                ClusterService(cluster.replica_clients())
 
     def test_partition_seed_defaults_to_spec_seed(self, two_shard_cluster):
-        service = ClusterService(two_shard_cluster.clients())
+        service = ClusterService(two_shard_cluster.replica_clients())
         try:
             assert service._partitioner.seed == 7  # the spec's seed
         finally:

@@ -39,11 +39,10 @@ from repro.cluster import (
     ShardMergeUnsupportedError,
     ShardRequestError,
     StallRequests,
-    gather_merge,
     store_config,
 )
 from repro.cluster.client import _SendFailed
-from repro.engine import dump_sketch, load_sketch
+from repro.engine import dump_sketch, load_sketch, merge_sketches
 from repro.store import SketchSpec, WindowedSketchStore
 
 MERGEABLE_KINDS = {
@@ -294,13 +293,13 @@ class TestReshard:
                 assert len(snapshot["epochs"]) == 2
                 assert snapshot["epochs"][1]["start"] == 100
                 # Rebuilding every epoch's shard stores offline and
-                # gather-merging them reproduces the exact answer.
+                # merging them reproduces the exact answer.
                 stores = [
                     WindowedSketchStore.from_dict(payload)
                     for entry in snapshot["epochs"]
                     for payload in entry["shards"]
                 ]
-                merged = gather_merge(
+                merged = merge_sketches(
                     [store.query(0, 200) for store in stores]
                 )
                 assert dump_sketch(merged) == dump_sketch(mono.query(0, 200))
@@ -314,7 +313,7 @@ class TestReshard:
 
     def test_reshard_without_supervisor_refused(self):
         with LocalCluster(store_config(template()), 1) as cluster:
-            service = ClusterService(cluster.clients())
+            service = ClusterService(cluster.replica_clients())
             try:
                 with pytest.raises(ClusterConfigError, match="supervisor"):
                     service.reshard(2)
@@ -482,9 +481,9 @@ class TestReplicaAwareAggregation:
         template_b = WindowedSketchStore(spec_b, bucket_width=10)
         with LocalCluster(store_config(template_a), 1) as a, \
                 LocalCluster(store_config(template_b), 1) as b:
-            # Shard 0's *second replica* disagrees — a flat-list
-            # validation would never look at it.
-            sets = [[a.clients()[0], b.clients()[0]]]
+            # Shard 0's *second replica* disagrees — validating only
+            # each set's primary would never look at it.
+            sets = [[a.replica_clients()[0][0], b.replica_clients()[0][0]]]
             with pytest.raises(
                 ClusterConfigError, match=r"replica 1.*disagrees on spec"
             ):

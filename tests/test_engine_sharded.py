@@ -13,9 +13,9 @@ from repro.core.frequency import FrequencyVector
 from repro.core.samplecount import SampleCountSketch
 from repro.core.tugofwar import TugOfWarSketch
 from repro.engine import (
+    HashPartitioner,
     MergeUnsupportedError,
     merge_sketches,
-    shard_stream,
     sharded_build,
 )
 
@@ -25,25 +25,55 @@ def _stream(n=20_000):
     return (rng.zipf(1.3, size=n) % 2_000).astype(np.int64)
 
 
-class TestShardStream:
+class _ShardRecorder:
+    """A stand-in sketch that keeps the shards it saw, in merge order."""
+
+    def __init__(self, shards=()):
+        self.shards = list(shards)
+
+    def update_from_stream(self, shard):
+        self.shards.append(np.asarray(shard).copy())
+
+    def merge(self, other):
+        return _ShardRecorder(self.shards + other.shards)
+
+
+class TestShardedBuild:
     def test_partition_preserves_order_and_content(self):
+        # The default split: contiguous, in stream order, balanced.
         values = _stream()
-        shards = shard_stream(values, 4)
+        built = sharded_build(_ShardRecorder, values, num_shards=4)
+        shards = built.shards
         assert len(shards) == 4
         assert np.array_equal(np.concatenate(shards), values)
         assert max(len(s) for s in shards) - min(len(s) for s in shards) <= 1
 
+    def test_partitioner_overrides_num_shards(self):
+        made = []
+
+        def factory():
+            made.append(_ShardRecorder())
+            return made[-1]
+
+        built = sharded_build(
+            factory, _stream(1000), num_shards=8,
+            partitioner=HashPartitioner(3, seed=1),
+        )
+        assert len(made) == 3 and len(built.shards) == 3
+
+    def test_rejects_non_1d_stream(self):
+        with pytest.raises(ValueError, match="1-D"):
+            sharded_build(FrequencyVector, np.zeros((2, 2), dtype=np.int64))
+
     def test_more_shards_than_elements(self):
-        shards = shard_stream(np.array([1, 2], dtype=np.int64), 5)
-        assert len(shards) == 5
-        assert sum(s.size for s in shards) == 2
+        # Empty shards build empty sketches, which merge as identities.
+        built = sharded_build(FrequencyVector, [1, 2], num_shards=5)
+        assert built == FrequencyVector.from_stream([1, 2])
 
     def test_invalid_shard_count(self):
-        with pytest.raises(ValueError):
-            shard_stream(_stream(100), 0)
+        with pytest.raises(ValueError, match="num_shards"):
+            sharded_build(FrequencyVector, _stream(100), num_shards=0)
 
-
-class TestShardedBuild:
     @pytest.mark.parametrize("max_workers", [None, 4])
     def test_tugofwar_bit_identical_to_single_shot(self, max_workers):
         values = _stream()
@@ -78,8 +108,6 @@ class TestShardedBuild:
             merge_sketches([])
 
     def test_hash_partitioner_build_bit_identical(self):
-        from repro.engine import HashPartitioner
-
         values = _stream()
         factory = lambda: TugOfWarSketch(s1=64, s2=5, seed=17)  # noqa: E731
         single = factory()

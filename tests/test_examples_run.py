@@ -1,9 +1,8 @@
 """Execute the fast example scripts end to end.
 
 Compiling (test_documentation) catches syntax errors; these run the
-quick examples as subprocesses to catch API drift.  The heavier
-examples (three_way_join, figure_gallery) are exercised indirectly by
-the benchmarks that use the same code paths.
+examples as subprocesses to catch API drift (figure_gallery at a
+reduced scale).
 """
 
 from __future__ import annotations
@@ -17,7 +16,15 @@ import pytest
 EXAMPLES_DIR = Path(__file__).resolve().parent.parent / "examples"
 
 
-@pytest.mark.parametrize("name", ["quickstart.py", "skew_monitoring.py"])
+@pytest.mark.parametrize(
+    "name",
+    [
+        "quickstart.py",
+        "skew_monitoring.py",
+        "join_estimation.py",
+        "three_way_join.py",
+    ],
+)
 def test_example_runs(name):
     result = subprocess.run(
         [sys.executable, str(EXAMPLES_DIR / name)],

@@ -7,13 +7,15 @@ import pytest
 
 import repro
 from repro import (
+    ExactCardinalities,
     FrequencyVector,
+    JoinGraph,
     JoinSignatureFamily,
     Relation,
     SampleCountSketch,
     SignatureCatalog,
     TugOfWarSketch,
-    choose_join_order,
+    enumerate_greedy,
     join_size,
     self_join_size,
 )
@@ -82,21 +84,17 @@ class TestJoinScenario:
             ),
         }
         relations = {k: Relation(k, v) for k, v in streams.items()}
-        sizes = {k: r.size for k, r in relations.items()}
-
-        class ExactOracle:
-            def join_estimate(self, a, b):
-                return float(relations[a].join_size(relations[b]))
+        graph = JoinGraph.clique({k: r.size for k, r in relations.items()})
 
         catalog = SignatureCatalog(k=2048, seed=9)
         for name, vals in streams.items():
             catalog.register(name, vals)
 
-        est_plan = choose_join_order(list(streams), sizes, catalog)
-        exact_plan = choose_join_order(list(streams), sizes, ExactOracle())
+        est_plan = enumerate_greedy(graph, catalog)
+        exact_plan = enumerate_greedy(graph, ExactCardinalities(relations))
         # With k = 2048 the estimates are sharp enough to pick the same
         # first join as exact statistics.
-        assert set(est_plan.order[:2]) == set(exact_plan.order[:2])
+        assert set(est_plan.order()[:2]) == set(exact_plan.order()[:2])
 
     def test_fact11_bridges_self_join_trackers_to_joins(self, rng):
         # Self-join trackers can bound any pairwise join (Fact 1.1).

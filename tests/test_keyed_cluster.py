@@ -60,7 +60,7 @@ def keyed_cluster():
 
 @pytest.fixture()
 def keyed_service(keyed_cluster):
-    service = ClusterService(keyed_cluster.clients())
+    service = ClusterService(keyed_cluster.replica_clients())
     yield service
     # Reset worker state between tests (keys linger as empty stores,
     # so tests use their own key names and scoped assertions).
@@ -76,7 +76,7 @@ class TestKeyedBitIdentity:
         mono = keyed_template(kind)
         batches = tenant_batches(seed=3)
         with LocalCluster(store_config(template), num_shards=2) as cluster:
-            service = ClusterService(cluster.clients())
+            service = ClusterService(cluster.replica_clients())
             try:
                 for key, (ts, vals) in batches.items():
                     service.ingest(ts, vals, key=key)
@@ -152,7 +152,7 @@ class TestKeyedUnkeyedMismatch:
             bucket_width=10,
         )
         with LocalCluster(store_config(plain), num_shards=1) as cluster:
-            service = ClusterService(cluster.clients())
+            service = ClusterService(cluster.replica_clients())
             try:
                 with pytest.raises(TypeError, match="unkeyed store"):
                     service.estimate(0, 10, key="a")
@@ -170,4 +170,6 @@ class TestKeyedUnkeyedMismatch:
         )
         with LocalCluster(store_config(plain), num_shards=1) as other:
             with pytest.raises(ClusterConfigError, match="keyed"):
-                ClusterService([keyed_cluster.clients()[0], other.clients()[0]])
+                ClusterService(
+                    [keyed_cluster.replica_clients()[0], other.replica_clients()[0]]
+                )

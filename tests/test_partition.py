@@ -21,7 +21,6 @@ from repro.engine.partition import (
     partitioner_from_dict,
     stable_hash64,
 )
-from repro.engine.sharded import shard_stream
 
 values_list = st.lists(
     st.integers(min_value=-(2**40), max_value=2**40), min_size=0, max_size=200
@@ -39,14 +38,6 @@ class TestContiguousPartitioner:
             assert len(pieces) == len(expected)
             for got, want in zip(pieces, expected):
                 assert np.array_equal(got, want)
-
-    def test_shard_stream_unchanged_by_refactor(self, rng):
-        # shard_stream is now a thin wrapper; its observable behaviour
-        # (np.array_split semantics) must not have moved.
-        arr = rng.integers(0, 100, size=47)
-        pieces = shard_stream(arr, 5)
-        assert [p.size for p in pieces] == [10, 10, 9, 9, 9]
-        assert np.array_equal(np.concatenate(pieces), arr)
 
     def test_assign_agrees_with_split(self, rng):
         arr = rng.integers(0, 50, size=83)

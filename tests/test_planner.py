@@ -1,10 +1,9 @@
 """Unit tests for the planner subsystem: graphs, enumerators, policies.
 
-Covers the ISSUE 4 satellites: estimator-policy agreement (bound-aware
->= sketch >= 0; exact backend bit-for-bit against brute force), the
-DP/greedy agreement property on small graphs, the tested
-``render_plan`` behind ``JoinPlan.__str__``, and the typed
-cross-product rejection in the legacy adapter.
+Covers estimator-policy agreement (bound-aware >= sketch >= 0; exact
+backend bit-for-bit against brute force), the DP/greedy agreement
+property on small graphs, the tested ``render_plan`` behind
+``PlanNode.__str__``, and typed cross-product rejection.
 """
 
 from __future__ import annotations
@@ -32,13 +31,7 @@ from repro.planner import (
     render_plan,
 )
 from repro.planner.enumerators import _edge_selectivities, _subset_cardinalities
-from repro.relational import (
-    JoinPlan,
-    Relation,
-    SignatureCatalog,
-    choose_join_order,
-    plan_cost,
-)
+from repro.relational import Relation, SignatureCatalog
 
 
 class _FixedEstimates:
@@ -51,6 +44,16 @@ class _FixedEstimates:
     def join_estimate(self, left: str, right: str) -> float:
         sel = self.sel.get(frozenset((left, right)), 0.01)
         return sel * self.graph.size(left) * self.graph.size(right)
+
+
+class _ConstantJoinSize:
+    """Every pair's estimated join size is the same number."""
+
+    def __init__(self, size: float):
+        self.size = size
+
+    def join_estimate(self, left: str, right: str) -> float:
+        return self.size
 
 
 class TestJoinGraph:
@@ -168,22 +171,6 @@ class TestPlanNodeAndRendering:
         assert isinstance(fingerprint, tuple)
         est = _FixedEstimates(g, {("A", "B"): 0.01, ("B", "C"): 0.02})
         assert enumerate_dp(g, est, mode="left-deep").structure() == fingerprint
-
-    def test_joinplan_str_uses_render_plan(self):
-        g = JoinGraph.chain({"A": 100, "B": 200, "C": 50})
-        sizes = {"A": 100, "B": 200, "C": 50}
-        est = _FixedEstimates(g, {("A", "B"): 0.01, ("B", "C"): 0.02})
-        plan = choose_join_order(
-            ["A", "B", "C"], sizes, est, edges=g.edges
-        )
-        assert plan.tree is not None
-        assert str(plan) == render_plan(plan.tree)
-
-    def test_treeless_joinplan_str_is_one_line(self):
-        plan = JoinPlan(order=("A", "B"), estimated_cost=12.5)
-        text = str(plan)
-        assert "A ⋈ B" in text and "12.5" in text
-        assert "\n" not in text
 
 
 class TestEstimatorPolicies:
@@ -433,6 +420,57 @@ class TestEnumerators:
         # exact-policy optimum.
         assert repriced.cost >= direct.cost * (1 - 1e-12)
 
+    def test_evaluate_plan_prices_cross_products_as_cartesian(self):
+        g = JoinGraph({"A": 10, "B": 20})
+        tree = enumerate_greedy(
+            g, _FixedEstimates(g, {}), allow_cross_products=True
+        )
+
+        class _NeverAsked:
+            def join_estimate(self, left, right):
+                raise AssertionError("no join edge to estimate")
+
+        priced = evaluate_plan(tree, g, _NeverAsked())
+        assert priced.cross_product
+        assert priced.cardinality == priced.cost == 200.0  # |A| * |B|
+
+    def test_only_edge_pairs_are_estimated(self):
+        g = JoinGraph.chain({"A": 10, "B": 20, "C": 30})
+        asked = []
+
+        class _Recording:
+            def join_estimate(self, left, right):
+                asked.append(frozenset((left, right)))
+                return 5.0
+
+        for plan in (
+            enumerate_greedy(g, _Recording()),
+            enumerate_dp(g, _Recording(), mode="bushy"),
+        ):
+            evaluate_plan(plan, g, _Recording())
+        assert asked and frozenset(("A", "C")) not in asked
+
+    def test_clique_cost_is_the_independence_product(self):
+        # Joining C onto {A, B} crosses edges A-C and B-C: the next
+        # intermediate is |AB| * |C| * sel(A, C) * sel(B, C).
+        g = JoinGraph.clique({"A": 100, "B": 200, "C": 300})
+        est = _ConstantJoinSize(50.0)
+        plan = enumerate_greedy(g, est)
+        assert plan.order() == ("A", "B", "C")  # ties keep graph order
+        expected = 50.0 + 50.0 * 300 * (50.0 / (100 * 300)) * (50.0 / (200 * 300))
+        assert plan.cost == pytest.approx(expected)
+        assert evaluate_plan(plan, g, est).cost == pytest.approx(expected)
+
+    def test_cross_product_error_names_the_fix(self):
+        g = JoinGraph({"A": 10, "B": 20, "C": 30}, edges=[("A", "B")])
+        est = _FixedEstimates(g, {("A", "B"): 0.01})
+        for enumerate_plan in (enumerate_greedy, enumerate_dp):
+            with pytest.raises(
+                CrossProductError, match="allow_cross_products=True"
+            ) as excinfo:
+                enumerate_plan(g, est)
+            assert isinstance(excinfo.value, ValueError)
+
 
 @settings(max_examples=40, deadline=None)
 @given(
@@ -459,101 +497,6 @@ def test_dp_and_greedy_agree_on_tiny_graphs(sizes, seed):
     assert dp.cost == pytest.approx(greedy.cost, rel=1e-9)
     bushy = enumerate_dp(graph, est, mode="bushy")
     assert bushy.cost == pytest.approx(greedy.cost, rel=1e-9)
-
-
-class TestLegacyAdapter:
-    """The old surface must behave identically, plus the new knobs."""
-
-    def test_choose_join_order_carries_tree(self, rng):
-        relations = {
-            "A": Relation("A", rng.integers(0, 20, size=500)),
-            "B": Relation("B", rng.integers(0, 20, size=400)),
-            "C": Relation("C", rng.integers(0, 20, size=300)),
-        }
-        exact = ExactCardinalities(relations)
-        sizes = {n: r.size for n, r in relations.items()}
-        plan = choose_join_order(["A", "B", "C"], sizes, exact)
-        assert plan.tree is not None
-        assert plan.tree.order() == plan.order
-        assert plan.tree.cost == pytest.approx(plan.estimated_cost)
-
-    def test_choose_join_order_rejects_cross_product_with_edges(self, rng):
-        relations = {
-            "A": Relation("A", rng.integers(0, 20, size=500)),
-            "B": Relation("B", rng.integers(0, 20, size=400)),
-            "C": Relation("C", rng.integers(0, 20, size=300)),
-        }
-        exact = ExactCardinalities(relations)
-        sizes = {n: r.size for n, r in relations.items()}
-        with pytest.raises(CrossProductError, match="allow_cross_products"):
-            choose_join_order(
-                ["A", "B", "C"], sizes, exact, edges=[("A", "B")]
-            )
-        plan = choose_join_order(
-            ["A", "B", "C"], sizes, exact,
-            edges=[("A", "B")], allow_cross_products=True,
-        )
-        assert set(plan.order) == {"A", "B", "C"}
-
-    def test_plan_cost_rejects_cross_product_orders(self):
-        sizes = {"A": 10, "B": 20, "C": 30}
-        edges = [("A", "B"), ("B", "C")]
-        join_size = lambda a, b: 5.0  # noqa: E731
-
-        # A-C as the first pair has no edge: typed rejection.
-        with pytest.raises(CrossProductError) as excinfo:
-            plan_cost(["A", "C", "B"], sizes, join_size, edges=edges)
-        assert isinstance(excinfo.value, ValueError)
-        # Legal order under the same edges still works.
-        cost = plan_cost(["A", "B", "C"], sizes, join_size, edges=edges)
-        assert cost > 0
-
-    def test_plan_cost_cross_product_allowed_is_cartesian(self):
-        sizes = {"A": 10, "B": 20}
-        cost = plan_cost(
-            ["A", "B"], sizes, lambda a, b: 5.0,
-            edges=[], allow_cross_products=True,
-        )
-        assert cost == 200.0  # |A| * |B|, not the join_size callable
-
-    def test_plan_cost_edges_restrict_selectivities(self):
-        # With edges declared, only edge pairs contribute selectivity;
-        # the unconnected pair must not call join_size at all.
-        sizes = {"A": 10, "B": 20, "C": 30}
-        calls = []
-
-        def join_size(a, b):
-            calls.append(frozenset((a, b)))
-            return 5.0
-
-        plan_cost(
-            ["A", "B", "C"], sizes, join_size,
-            edges=[("A", "B"), ("B", "C")],
-        )
-        assert frozenset(("A", "C")) not in calls
-
-    def test_plan_cost_rejects_malformed_edges(self):
-        with pytest.raises(ValueError, match="two distinct relations"):
-            plan_cost(
-                ["A", "B"], {"A": 1, "B": 1}, lambda a, b: 1.0,
-                edges=[("A", "A")],
-            )
-
-    def test_plan_cost_rejects_unknown_edge_endpoints(self):
-        # A typo'd endpoint must raise the same typed error
-        # choose_join_order gives, not silently become "no edge".
-        with pytest.raises(UnknownGraphRelationError, match="'Bee'"):
-            plan_cost(
-                ["A", "B"], {"A": 10, "B": 20}, lambda a, b: 5.0,
-                edges=[("A", "Bee")], allow_cross_products=True,
-            )
-
-    def test_plan_cost_without_edges_is_unchanged(self):
-        # The historical all-pairs behaviour: every pair contributes.
-        sizes = {"A": 100, "B": 200, "C": 300}
-        legacy = plan_cost(["A", "B", "C"], sizes, lambda a, b: 50.0)
-        expected = 50.0 + 50.0 * 300 * (50.0 / (100 * 300)) * (50.0 / (200 * 300))
-        assert legacy == pytest.approx(expected)
 
 
 class TestServiceWindowPlanning:

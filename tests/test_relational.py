@@ -1,20 +1,26 @@
-"""Unit tests for the relational layer: Relation, catalogs, optimizer."""
+"""Unit tests for the relational layer: Relation, catalogs, and the
+join orders :mod:`repro.planner` picks from them."""
 
 from __future__ import annotations
+
+import itertools
 
 import numpy as np
 import pytest
 
+from repro.planner import (
+    ExactCardinalities,
+    JoinGraph,
+    PlanNode,
+    UnknownGraphRelationError,
+    enumerate_dp,
+    enumerate_greedy,
+    evaluate_plan,
+)
 from repro.relational.catalog import (
     SampleCatalog,
     SignatureCatalog,
     UnknownRelationError,
-)
-from repro.relational.optimizer import (
-    JoinPlan,
-    UnknownRelationSizeError,
-    choose_join_order,
-    plan_cost,
 )
 from repro.relational.relation import Relation
 
@@ -199,14 +205,25 @@ class TestSampleCatalog:
         assert 300 <= cat.memory_words <= 750
 
 
-class _ExactOracle:
-    """join_estimate oracle backed by exact relation statistics."""
+def _left_deep(order) -> PlanNode:
+    """An unpriced left-deep tree over ``order``; evaluate_plan prices it."""
+    tree = PlanNode((order[0],), 0.0, 0.0)
+    for name in order[1:]:
+        tree = PlanNode(
+            tree.relations + (name,), 0.0, 0.0,
+            left=tree, right=PlanNode((name,), 0.0, 0.0),
+        )
+    return tree
 
-    def __init__(self, relations: dict[str, Relation]):
-        self.relations = relations
 
-    def join_estimate(self, left: str, right: str) -> float:
-        return float(self.relations[left].join_size(self.relations[right]))
+class _Constant:
+    """A catalog answering every join-size question with one value."""
+
+    def __init__(self, value):
+        self.value = value
+
+    def join_estimate(self, left, right):
+        return self.value
 
 
 class TestOptimizer:
@@ -218,97 +235,87 @@ class TestOptimizer:
         c = Relation("C", np.concatenate([rng.integers(0, 2, size=50), rng.integers(1000, 1100, size=950)]))
         return {"A": a, "B": b, "C": c}
 
-    def test_plan_prefers_selective_pair(self, relations):
-        oracle = _ExactOracle(relations)
-        sizes = {k: r.size for k, r in relations.items()}
-        plan = choose_join_order(["A", "B", "C"], sizes, oracle)
-        assert isinstance(plan, JoinPlan)
-        # The cheapest first pair involves C (tiny join with A or B).
-        assert "C" in plan.order[:2]
+    @staticmethod
+    def graph(relations):
+        return JoinGraph.clique({k: r.size for k, r in relations.items()})
 
-    def test_plan_cost_matches_choice(self, relations):
-        oracle = _ExactOracle(relations)
-        sizes = {k: r.size for k, r in relations.items()}
-        plan = choose_join_order(["A", "B", "C"], sizes, oracle)
-        recomputed = plan_cost(plan.order, sizes, oracle.join_estimate)
-        assert recomputed == pytest.approx(plan.estimated_cost)
+    def test_plan_prefers_selective_pair(self, relations):
+        plan = enumerate_greedy(
+            self.graph(relations), ExactCardinalities(relations)
+        )
+        # The cheapest first pair involves C (tiny join with A or B).
+        assert "C" in plan.order()[:2]
+
+    def test_evaluate_plan_matches_choice(self, relations):
+        graph = self.graph(relations)
+        exact = ExactCardinalities(relations)
+        plan = enumerate_greedy(graph, exact)
+        assert evaluate_plan(plan, graph, exact).cost == pytest.approx(plan.cost)
 
     def test_greedy_beats_or_ties_worst_order(self, relations):
-        oracle = _ExactOracle(relations)
-        sizes = {k: r.size for k, r in relations.items()}
-        plan = choose_join_order(["A", "B", "C"], sizes, oracle)
-        import itertools
-
+        graph = self.graph(relations)
+        exact = ExactCardinalities(relations)
+        plan = enumerate_greedy(graph, exact)
         costs = [
-            plan_cost(order, sizes, oracle.join_estimate)
-            for order in itertools.permutations(["A", "B", "C"])
+            evaluate_plan(_left_deep(order), graph, exact).cost
+            for order in itertools.permutations(relations)
         ]
-        assert plan.estimated_cost <= max(costs)
+        assert plan.cost <= max(costs)
 
     def test_signature_catalog_picks_near_optimal_plan(self, relations):
         # End-to-end: the estimated plan's *true* cost should be close
         # to the exact-statistics plan's true cost.
-        oracle = _ExactOracle(relations)
-        sizes = {k: r.size for k, r in relations.items()}
+        graph = self.graph(relations)
+        exact = ExactCardinalities(relations)
         cat = SignatureCatalog(k=1024, seed=5)
         for name, rel in relations.items():
             cat.register(name, rel.values_array())
-        est_plan = choose_join_order(["A", "B", "C"], sizes, cat)
-        exact_plan = choose_join_order(["A", "B", "C"], sizes, oracle)
-        true_cost_est = plan_cost(est_plan.order, sizes, oracle.join_estimate)
-        true_cost_exact = plan_cost(exact_plan.order, sizes, oracle.join_estimate)
+        est_plan = enumerate_greedy(graph, cat)
+        exact_plan = enumerate_greedy(graph, exact)
+        true_cost_est = evaluate_plan(est_plan, graph, exact).cost
+        true_cost_exact = evaluate_plan(exact_plan, graph, exact).cost
         assert true_cost_est <= 3.0 * max(true_cost_exact, 1.0)
 
     def test_requires_two_relations(self, relations):
-        oracle = _ExactOracle(relations)
         with pytest.raises(ValueError, match="two relations"):
-            choose_join_order(["A"], {"A": 10}, oracle)
-
-    def test_plan_cost_requires_two(self):
-        with pytest.raises(ValueError):
-            plan_cost(["A"], {"A": 1}, lambda a, b: 0.0)
+            enumerate_greedy(
+                JoinGraph.clique({"A": 10}), ExactCardinalities(relations)
+            )
 
 
 class TestOptimizerTypedErrors:
-    """ISSUE 3 satellite: no bare KeyError / assert deaths in the optimizer."""
+    """Degenerate inputs and catalog answers fail loudly, typed."""
 
-    def make_oracle(self, rng):
-        return _ExactOracle({
-            "A": Relation("A", rng.integers(0, 20, size=100)),
-            "B": Relation("B", rng.integers(0, 20, size=100)),
-        })
+    GRAPH = JoinGraph.clique({"A": 10, "B": 10})
 
-    def test_missing_size_is_typed_not_keyerror(self, rng):
-        oracle = self.make_oracle(rng)
-        with pytest.raises(UnknownRelationSizeError) as excinfo:
-            choose_join_order(["A", "B"], {"A": 100}, oracle)
+    def test_missing_size_is_typed_not_keyerror(self):
+        # Sizes live in the JoinGraph: pricing a plan over a graph that
+        # lacks one of its relations names it instead of a bare KeyError.
+        plan = enumerate_greedy(self.GRAPH, _Constant(1.0))
+        with pytest.raises(UnknownGraphRelationError) as excinfo:
+            evaluate_plan(plan, JoinGraph({"A": 100}), _Constant(1.0))
         assert not isinstance(excinfo.value, KeyError)
         assert isinstance(excinfo.value, LookupError)
-        # The message is actionable: names the relation, lists what is
-        # recorded, and says what to supply.
         message = str(excinfo.value)
-        assert "'B'" in message and "sizes recorded for: A" in message
-        assert excinfo.value.name == "B" and excinfo.value.recorded == ["A"]
+        assert "'B'" in message and "relations: A" in message
+        assert excinfo.value.name == "B" and excinfo.value.known == ["A"]
 
-    def test_missing_size_with_nothing_recorded(self, rng):
-        oracle = self.make_oracle(rng)
-        with pytest.raises(UnknownRelationSizeError, match="<none>"):
-            choose_join_order(["A", "B"], {}, oracle)
+    def test_missing_size_with_nothing_recorded(self):
+        plan = enumerate_greedy(self.GRAPH, _Constant(1.0))
+        with pytest.raises(UnknownGraphRelationError, match="<none>"):
+            evaluate_plan(plan, JoinGraph(), _Constant(1.0))
 
-    def test_plan_cost_missing_size_is_typed(self):
-        with pytest.raises(UnknownRelationSizeError, match="'B'"):
-            plan_cost(["A", "B"], {"A": 1}, lambda a, b: 0.0)
-
-    def test_plan_cost_rejects_duplicate_order(self):
-        # An explicit order repeating a relation is a caller error;
-        # silently deduplicating would score a different plan.
-        with pytest.raises(ValueError, match="repeats a relation"):
-            plan_cost(["A", "B", "A"], {"A": 1, "B": 1}, lambda a, b: 1.0)
-
-    def test_negative_size_rejected(self, rng):
-        oracle = self.make_oracle(rng)
+    def test_negative_size_rejected(self):
         with pytest.raises(ValueError, match="negative size"):
-            choose_join_order(["A", "B"], {"A": 100, "B": -1}, oracle)
+            JoinGraph.clique({"A": 100, "B": -1})
+
+    def test_empty_relations_is_valueerror_not_assert(self):
+        # A real ValueError, not an `assert` that vanishes under -O.
+        empty = JoinGraph.clique({})
+        with pytest.raises(ValueError, match="two relations"):
+            enumerate_greedy(empty, _Constant(1.0))
+        with pytest.raises(ValueError, match="two relations"):
+            enumerate_dp(empty, _Constant(1.0))
 
     def test_nan_estimate_rejected_with_pair_named(self):
         class _NaNCatalog:
@@ -316,28 +323,17 @@ class TestOptimizerTypedErrors:
                 return float("nan")
 
         with pytest.raises(ValueError, match=r"non-finite.*'A'.*'B'"):
-            choose_join_order(["A", "B"], {"A": 10, "B": 10}, _NaNCatalog())
+            enumerate_greedy(self.GRAPH, _NaNCatalog())
 
-    def test_inf_estimate_rejected_in_plan_cost(self):
+    def test_inf_estimate_rejected_in_evaluate_plan(self):
+        plan = enumerate_greedy(self.GRAPH, _Constant(1.0))
         with pytest.raises(ValueError, match="non-finite"):
-            plan_cost(
-                ["A", "B"], {"A": 1, "B": 1}, lambda a, b: float("inf")
-            )
+            evaluate_plan(plan, self.GRAPH, _Constant(float("inf")))
 
-    def test_empty_relations_is_valueerror_not_assert(self, rng):
-        # The old implementation could only fail an `assert` here
-        # (which vanishes under python -O); degenerate inputs now raise
-        # a real ValueError.
-        oracle = self.make_oracle(rng)
-        with pytest.raises(ValueError, match="two relations"):
-            choose_join_order([], {}, oracle)
-        with pytest.raises(ValueError, match="two relations"):
-            choose_join_order(["A", "A"], {"A": 10}, oracle)  # dupes collapse
-
-    def test_catalog_exceptions_propagate_untouched(self, rng):
+    def test_catalog_exceptions_propagate_untouched(self):
         class _Broken:
             def join_estimate(self, left, right):
                 raise RuntimeError("backend down")
 
         with pytest.raises(RuntimeError, match="backend down"):
-            choose_join_order(["A", "B"], {"A": 1, "B": 1}, _Broken())
+            enumerate_greedy(self.GRAPH, _Broken())
