@@ -23,10 +23,17 @@ counters can process an update with a handful of array operations:
 coefficients are stored as a ``(num_functions, degree)`` uint64 matrix
 and evaluation uses Horner's rule.  All intermediate products fit in
 uint64 because coefficients and points are both < 2^31.
+
+Every family drawn from one integer seed shares one read-only
+coefficient matrix per process (a bounded cache keyed by ``(count,
+independence, seed)``): the sketches of a windowed or keyed store all
+use the same eps mappings, so a new bucket costs its counters and not
+another copy of the polynomials.
 """
 
 from __future__ import annotations
 
+import functools
 from typing import Iterable
 
 import numpy as np
@@ -60,6 +67,40 @@ def _mod_mersenne(y: np.ndarray) -> np.ndarray:
     return np.where(y >= _P, y - _P, y)
 
 
+#: Distinct ``(count, independence, seed)`` coefficient matrices each
+#: process keeps for sharing; the least recently used is dropped first.
+#: A store or fleet needs one per spec; the bound caps what a sweep over
+#: many seeds keeps alive after its sketches are gone.
+_SHARED_FAMILIES = 16
+
+
+def _draw_coefficients(count: int, independence: int, seed) -> np.ndarray:
+    """A read-only ``(count, independence)`` matrix drawn from ``seed``.
+
+    Row i holds the coefficients of polynomial i, highest degree first
+    (Horner order).
+    """
+    rng = np.random.default_rng(seed)
+    coeffs = rng.integers(
+        0, MERSENNE_PRIME_31, size=(count, independence), dtype=np.uint64
+    )
+    coeffs.flags.writeable = False
+    return coeffs
+
+
+_shared_coefficients = functools.lru_cache(maxsize=_SHARED_FAMILIES)(
+    _draw_coefficients
+)
+
+
+def _seed_key(seed) -> int | None:
+    """``seed`` as a cache key, or None when it does not name one draw
+    (``None`` draws fresh entropy; bools and negatives go uncached)."""
+    if isinstance(seed, (int, np.integer)) and not isinstance(seed, bool):
+        return int(seed) if seed >= 0 else None
+    return None
+
+
 class PolynomialHashFamily:
     """A bundle of ``count`` independent k-wise independent hash functions.
 
@@ -79,7 +120,8 @@ class PolynomialHashFamily:
         Seed for the coefficient-drawing RNG.  Two families built with
         the same ``(count, independence, seed)`` are identical, which
         is how k-TW signatures for *different relations* share their
-        eps mappings (Section 4.3).
+        eps mappings (Section 4.3); with an integer seed they share one
+        read-only coefficient matrix, too.
 
     Notes
     -----
@@ -99,12 +141,11 @@ class PolynomialHashFamily:
         self.count = int(count)
         self.independence = int(independence)
         self.seed = seed
-        rng = np.random.default_rng(seed)
-        # Shape (count, independence): row i holds the coefficients of
-        # polynomial i, highest degree first (Horner order).
-        self._coeffs = rng.integers(
-            0, MERSENNE_PRIME_31, size=(self.count, self.independence), dtype=np.uint64
-        )
+        key = _seed_key(seed)
+        if key is None:
+            self._coeffs = _draw_coefficients(self.count, self.independence, seed)
+        else:
+            self._coeffs = _shared_coefficients(self.count, self.independence, key)
 
     # ------------------------------------------------------------------
     # Evaluation
@@ -187,18 +228,36 @@ class PolynomialHashFamily:
 
     @classmethod
     def from_dict(cls, payload: dict) -> "PolynomialHashFamily":
-        """Reconstruct a family from :meth:`to_dict` output."""
+        """Reconstruct a family from :meth:`to_dict` output.
+
+        Coefficients must be field elements in [0, p): a larger one
+        would overflow the uint64 products Horner's rule relies on.  A
+        payload whose coefficients are exactly its seed's draw reuses
+        the shared matrix instead of keeping its own copy.
+        """
         family = cls.__new__(cls)
         family.count = int(payload["count"])
         family.independence = int(payload["independence"])
         family.seed = payload.get("seed")
-        coeffs = np.asarray(payload["coefficients"], dtype=np.uint64)
+        coeffs = np.asarray(payload["coefficients"], dtype=np.int64)
         if coeffs.shape != (family.count, family.independence):
             raise ValueError(
                 "coefficient matrix has shape "
                 f"{coeffs.shape}, expected {(family.count, family.independence)}"
             )
-        family._coeffs = coeffs
+        if coeffs.size and (coeffs.min() < 0 or coeffs.max() >= MERSENNE_PRIME_31):
+            raise ValueError(
+                f"coefficients must lie in [0, {MERSENNE_PRIME_31}), got "
+                f"[{coeffs.min()}, {coeffs.max()}]"
+            )
+        key = _seed_key(family.seed)
+        if key is not None:
+            shared = _shared_coefficients(family.count, family.independence, key)
+            if np.array_equal(coeffs, shared):
+                family._coeffs = shared
+                return family
+        family._coeffs = coeffs.astype(np.uint64)
+        family._coeffs.flags.writeable = False
         return family
 
     def __eq__(self, other: object) -> bool:
@@ -207,7 +266,10 @@ class PolynomialHashFamily:
         return (
             self.count == other.count
             and self.independence == other.independence
-            and np.array_equal(self._coeffs, other._coeffs)
+            and (
+                self._coeffs is other._coeffs
+                or np.array_equal(self._coeffs, other._coeffs)
+            )
         )
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic

@@ -132,7 +132,8 @@ def load_sketch(payload: Mapping) -> Sketch:
     ------
     SketchPayloadError
         If the payload is not a mapping, lacks a ``kind``, or its body
-        is corrupt (missing fields, wrong shapes, bad types).
+        is corrupt (missing fields, wrong shapes, bad types, values out
+        of range).
     UnknownSketchKindError
         If the named kind was never registered.
     """
@@ -150,7 +151,7 @@ def load_sketch(payload: Mapping) -> Sketch:
         return cls.from_dict(dict(payload))
     except (UnknownSketchKindError, SketchPayloadError):
         raise
-    except (KeyError, ValueError, TypeError, IndexError) as exc:
+    except (KeyError, ValueError, TypeError, IndexError, OverflowError) as exc:
         raise SketchPayloadError(
             f"corrupt payload for sketch kind {kind!r}: {exc}"
         ) from exc

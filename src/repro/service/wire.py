@@ -6,14 +6,16 @@ decimal string on the way out and a freshly allocated ``int`` on the
 way in, at every hop.  This module defines the binary twin: fixed
 ``struct``-packed frame headers, batched ingest carried as packed
 little-endian int64 arrays decoded zero-copy with ``np.frombuffer``,
-and a compact msgpack-style encoding for small control payloads.
+and a compact msgpack-style encoding for control payloads and
+responses, whose integer columns (a sketch's counters and hash
+coefficients) travel packed rather than one tagged object per value.
 
 Frame layout (all integers little-endian)::
 
     offset  size  field
     0       2     magic    0xAB 0x52  (0xAB can never start UTF-8 JSON,
                                        so one port can sniff both)
-    2       1     version  protocol version (currently 1)
+    2       1     version  protocol version (currently 2)
     3       1     opcode   operation (see OP_*)
     4       2     flags    bit 0: response, bit 1: error response
     6       4     length   payload bytes that follow the header
@@ -60,6 +62,8 @@ hostile length field cannot balloon server memory.
 
 from __future__ import annotations
 
+import itertools
+import math
 import struct
 from typing import Iterable, Mapping
 
@@ -104,8 +108,8 @@ __all__ = [
 ]
 
 MAGIC = b"\xabR"
-WIRE_VERSION = 1
-SUPPORTED_VERSIONS = (1,)
+WIRE_VERSION = 2
+SUPPORTED_VERSIONS = (2,)
 
 HEADER = struct.Struct("<2sBBHI")
 HEADER_SIZE = HEADER.size  # 10 bytes
@@ -269,9 +273,28 @@ class FrameDecoder:
 # Type tags.  The shapes follow msgpack's fix/8/16/32 families, but
 # multi-byte values are little-endian like the rest of the protocol
 # (this codec only ever talks to itself across the wire).
+#
+# One tag has no msgpack twin: _PACKED carries an integer column — a
+# sketch's counters, its hash coefficients, a frequency vector's
+# [value, count] pairs — as raw machine integers instead of one tagged
+# object per element:
+#
+#     size  field
+#     1     0xC7
+#     1     descriptor  high nibble: rank (1 or 2),
+#                       low nibble: element width in bytes (1, 2, 4, 8)
+#     4r    dimensions  u32 each, rank of them, none zero
+#     w*n   values      signed little-endian, row-major
+#
+# The encoder packs an integer ndarray, a list of at least _PACK_MIN
+# plain ints (bools stay tagged, so they decode as bools), or a list of
+# at least _PACK_MIN equal-length rows of plain ints, at the narrowest
+# width that holds every value.  It decodes to nested lists of ints, so
+# a packed payload decodes to the same mapping as its JSON round trip.
 _NIL = 0xC0
 _FALSE = 0xC2
 _TRUE = 0xC3
+_PACKED = 0xC7
 _FLOAT64 = 0xCB
 _INT64 = 0xD3
 _STR8 = 0xD9
@@ -293,6 +316,12 @@ _MAX_DEPTH = 64
 
 _INT64_MIN = -(1 << 63)
 _INT64_MAX = (1 << 63) - 1
+
+#: Shortest list the encoder tries to pack: below it, per-element tags
+#: cost about as much as the packed header.
+_PACK_MIN = 8
+#: Element width in bytes -> the signed little-endian dtype of a column.
+_PACKED_DTYPES = {w: np.dtype(f"<i{w}") for w in (1, 2, 4, 8)}
 
 
 def _encode_key(key) -> str:
@@ -361,11 +390,18 @@ def _encode_into(out: bytearray, obj, depth: int) -> None:
             raise FrameFormatError("string exceeds 4 GiB")
         out += raw
     elif isinstance(obj, (list, tuple)):
+        packed = _int_column(obj) if len(obj) >= _PACK_MIN else None
+        if packed is not None:
+            _encode_packed(out, packed)
+            return
         _encode_length(out, len(obj), _ARRAY16, _ARRAY32, "array")
         for item in obj:
             _encode_into(out, item, depth + 1)
     elif isinstance(obj, np.ndarray):
-        _encode_into(out, obj.tolist(), depth)
+        if obj.dtype.kind in "iu" and obj.ndim in (1, 2) and obj.size:
+            _encode_packed(out, obj)
+        else:
+            _encode_into(out, obj.tolist(), depth)
     elif isinstance(obj, Mapping):
         _encode_length(out, len(obj), _MAP16, _MAP32, "mapping")
         for key, value in obj.items():
@@ -375,6 +411,44 @@ def _encode_into(out: bytearray, obj, depth: int) -> None:
         raise FrameFormatError(
             f"cannot encode object of type {type(obj).__name__}"
         )
+
+
+def _int_column(items) -> np.ndarray | None:
+    """``items`` as an int64 array when it is a list of plain ints or a
+    rectangle of equal-length rows of them; None for anything else."""
+    types = set(map(type, items))
+    if types == {int}:
+        flat, shape = items, (len(items),)
+    elif types <= {list, tuple} and len(widths := set(map(len, items))) == 1:
+        flat = list(itertools.chain.from_iterable(items))
+        if set(map(type, flat)) != {int}:
+            return None
+        shape = (len(items), widths.pop())
+    else:
+        return None
+    try:
+        return np.array(flat, dtype=np.int64).reshape(shape)
+    except OverflowError:
+        raise FrameFormatError(
+            "integer list holds a value outside the int64 range"
+        ) from None
+
+
+def _encode_packed(out: bytearray, arr: np.ndarray) -> None:
+    lo, hi = int(arr.min()), int(arr.max())
+    for width, dtype in _PACKED_DTYPES.items():
+        bound = 1 << (8 * width - 1)
+        if -bound <= lo and hi < bound:
+            break
+    else:
+        raise FrameFormatError(f"integer {hi} exceeds int64 range")
+    if max(arr.shape) > 0xFFFFFFFF:
+        raise FrameFormatError("array exceeds 2^32 entries")
+    out.append(_PACKED)
+    out.append(arr.ndim << 4 | width)
+    for dim in arr.shape:
+        out += _U32.pack(dim)
+    out += arr.astype(dtype, copy=False).tobytes()
 
 
 def _encode_length(
@@ -392,7 +466,12 @@ def _encode_length(
 
 def encode_compact(obj) -> bytes:
     """Encode a JSON-shaped object (None/bool/int/float/str/list/dict,
-    plus numpy scalars and arrays) to compact bytes."""
+    plus numpy scalars and arrays) to compact bytes.
+
+    Integer arrays and integer lists long enough to pay for it are
+    packed (see the ``_PACKED`` layout); everything decodes to what a
+    ``json.dumps``/``json.loads`` round trip would give.
+    """
     out = bytearray()
     _encode_into(out, obj, 0)
     return bytes(out)
@@ -460,6 +539,8 @@ def _decode_from(reader: _Reader, depth: int):
                 f"{reader.remaining} bytes left"
             )
         return [_decode_from(reader, depth + 1) for _ in range(count)]
+    if tag == _PACKED:
+        return _decode_packed(reader)
     if tag in (_MAP16, _MAP32):
         count = _decode_count(reader, tag)
         if 2 * count > reader.remaining:
@@ -478,6 +559,24 @@ def _decode_from(reader: _Reader, depth: int):
             result[key] = _decode_from(reader, depth + 1)
         return result
     raise FrameFormatError(f"unknown compact type tag 0x{tag:02x}")
+
+
+def _decode_packed(reader: _Reader) -> list:
+    descriptor = reader.take(1)[0]
+    rank, width = descriptor >> 4, descriptor & 0x0F
+    dtype = _PACKED_DTYPES.get(width)
+    if rank not in (1, 2) or dtype is None:
+        raise FrameFormatError(
+            f"bad packed-integer descriptor 0x{descriptor:02x} "
+            f"(rank {rank}, width {width})"
+        )
+    shape = struct.unpack(f"<{rank}I", reader.take(4 * rank))
+    if 0 in shape:
+        raise FrameFormatError(
+            f"packed-integer column of shape {shape} has a zero dimension"
+        )
+    values = reader.take(width * math.prod(shape))
+    return np.frombuffer(values, dtype=dtype).reshape(shape).tolist()
 
 
 def _decode_str(reader: _Reader, length: int) -> str:

@@ -2,14 +2,23 @@
 
 from __future__ import annotations
 
+import sys
+import threading
+
 import numpy as np
 import pytest
 
+from repro.core import hashing
+from repro.core.distinct import DistinctCountSketch
+from repro.core.fkmoments import FkMomentSketch
 from repro.core.hashing import (
     MERSENNE_PRIME_31,
     PolynomialHashFamily,
     SignHashFamily,
 )
+from repro.core.tugofwar import TugOfWarSketch
+from repro.engine import SketchPayloadError, load_sketch
+from repro.store import SketchSpec
 
 
 class TestPolynomialHashFamily:
@@ -174,3 +183,145 @@ class TestSignHashFamily:
 
     def test_equality_against_other_type(self):
         assert SignHashFamily(count=1, seed=0) != 42
+
+
+def _matrix(sketch: TugOfWarSketch) -> np.ndarray:
+    """The coefficient matrix behind a tug-of-war sketch's read-only
+    ``coefficients`` view."""
+    return sketch._signs.coefficients.base
+
+
+class TestSharedFamily:
+    """Every sketch drawn from one seed hashes with one read-only matrix."""
+
+    SPEC = SketchSpec("tugofwar", {"s1": 16, "s2": 3, "seed": 1414})
+
+    def test_builds_share_one_read_only_matrix(self):
+        a, b = self.SPEC.build(), self.SPEC.build()
+        assert _matrix(a) is _matrix(b)
+        assert not _matrix(a).flags.writeable
+        with pytest.raises(ValueError):
+            _matrix(a)[0, 0] = 0
+
+    def test_from_dict_of_matching_payload_reuses_matrix(self):
+        built = self.SPEC.build()
+        built.update_from_stream(np.arange(100))
+        loaded = load_sketch(built.to_dict())
+        assert _matrix(loaded) is _matrix(built)
+        np.testing.assert_array_equal(loaded.counters, built.counters)
+
+    def test_changed_coefficient_keeps_own_matrix(self):
+        built = self.SPEC.build()
+        payload = built.to_dict()
+        row = payload["signs"]["family"]["coefficients"][0]
+        row[0] = (row[0] + 1) % MERSENNE_PRIME_31
+        loaded = load_sketch(payload)
+        assert _matrix(loaded) is not _matrix(built)
+        assert not _matrix(loaded).flags.writeable
+        assert loaded.to_dict()["signs"] == payload["signs"]
+        assert loaded._signs != built._signs
+        with pytest.raises(ValueError, match="different hash families"):
+            built.merge(loaded)
+
+    def test_unseeded_families_differ(self):
+        a, b = PolynomialHashFamily(count=8), PolynomialHashFamily(count=8)
+        assert a != b
+        assert a.coefficients.base is not b.coefficients.base
+
+    def test_equality_short_circuits_on_shared_matrix(self, monkeypatch):
+        a = PolynomialHashFamily(count=4, seed=3)
+        b = PolynomialHashFamily(count=4, seed=3)
+
+        def elementwise(*args):
+            pytest.fail("families sharing one matrix compared elementwise")
+
+        monkeypatch.setattr(hashing.np, "array_equal", elementwise)
+        assert a == b
+
+    def test_numpy_integer_seed_shares_the_int_draw(self):
+        a = PolynomialHashFamily(count=4, seed=21)
+        b = PolynomialHashFamily(count=4, seed=np.int64(21))
+        assert a.coefficients.base is b.coefficients.base
+
+    def test_cache_is_bounded(self):
+        for seed in range(2 * hashing._SHARED_FAMILIES):
+            PolynomialHashFamily(count=1, seed=10_000 + seed)
+        info = hashing._shared_coefficients.cache_info()
+        assert info.maxsize == hashing._SHARED_FAMILIES
+        assert info.currsize <= info.maxsize
+
+    def test_concurrent_builds_get_their_seeds_draw(self):
+        # More seeds than the cache holds, walked by more threads than
+        # cores, so hits, misses and evictions interleave.
+        seeds = range(20_000, 20_000 + 2 * hashing._SHARED_FAMILIES)
+        want = {
+            seed: np.random.default_rng(seed).integers(
+                0, MERSENNE_PRIME_31, size=(3, 4), dtype=np.uint64)
+            for seed in seeds
+        }
+        wrong: list[int] = []
+
+        def build(offset: int) -> None:
+            for i in range(3 * len(seeds)):
+                seed = seeds[(offset + i) % len(seeds)]
+                family = PolynomialHashFamily(count=3, seed=seed)
+                if not np.array_equal(family.coefficients, want[seed]):
+                    wrong.append(seed)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=build, args=(17 * i,))
+                       for i in range(8)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+                assert not thread.is_alive()
+        finally:
+            sys.setswitchinterval(interval)
+        assert wrong == []
+
+
+class TestCorruptHashPayloads:
+    """Out-of-field coefficients and out-of-range counters are refused
+    with the typed payload error, never loaded or leaked as a bare
+    ``OverflowError``."""
+
+    @pytest.mark.parametrize("coefficient", [
+        2**40, MERSENNE_PRIME_31, -1, 2**63, 2**64,
+    ])
+    def test_out_of_field_coefficient_refused(self, coefficient):
+        payload = TugOfWarSketch(8, 2, seed=5).to_dict()
+        payload["signs"]["family"]["coefficients"][0][0] = coefficient
+        with pytest.raises(SketchPayloadError):
+            load_sketch(payload)
+
+    @pytest.mark.parametrize("sketch, field", [
+        (FkMomentSketch(k=3, s1=8, s2=2, seed=5), "digits"),
+        (DistinctCountSketch(8, 2, seed=5), "buckets"),
+    ])
+    def test_other_kinds_refuse_out_of_field_coefficients(self, sketch, field):
+        payload = sketch.to_dict()
+        payload[field]["coefficients"][-1][-1] = 2**40
+        with pytest.raises(SketchPayloadError, match="coefficients must lie"):
+            load_sketch(payload)
+
+    def test_from_dict_refuses_with_value_error(self):
+        payload = PolynomialHashFamily(count=2, seed=0).to_dict()
+        payload["coefficients"][1][3] = 2**40
+        with pytest.raises(ValueError, match="coefficients must lie in"):
+            PolynomialHashFamily.from_dict(payload)
+
+    def test_largest_field_element_accepted(self):
+        payload = PolynomialHashFamily(count=2, seed=0).to_dict()
+        payload["coefficients"][0] = [MERSENNE_PRIME_31 - 1, 0, 0, 0]
+        family = PolynomialHashFamily.from_dict(payload)
+        assert family.coefficients[0, 0] == MERSENNE_PRIME_31 - 1
+
+    @pytest.mark.parametrize("counter", [2**63, -(2**63) - 1])
+    def test_counter_beyond_int64_refused(self, counter):
+        payload = TugOfWarSketch(8, 2, seed=5).to_dict()
+        payload["z"][0] = counter
+        with pytest.raises(SketchPayloadError):
+            load_sketch(payload)

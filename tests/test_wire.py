@@ -27,6 +27,7 @@ from repro.cluster.client import (
     backoff_delay,
 )
 from repro.cluster.errors import ShardProtocolError, ShardUnreachableError
+from repro.engine import load_sketch, sketch_kinds
 from repro.service import (
     EventLoopServer,
     SketchService,
@@ -37,11 +38,27 @@ from repro.service import wire
 from repro.service.surface import OPS, handle_frame
 from repro.store import SketchSpec, WindowedSketchStore
 
+#: Constructor parameters per kind.  Mergeable kinds pin one seed, so
+#: separately built services hold interchangeable sketches.
+KIND_PARAMS = {
+    "tugofwar": {"s1": 32, "s2": 3, "seed": 7},
+    "fk_moments": {"k": 3, "s1": 32, "s2": 3, "seed": 7},
+    "f0": {"s1": 32, "s2": 3, "seed": 7},
+    "samplecount": {"s1": 16, "s2": 3, "seed": 7},
+    "samplecount-fast": {"s1": 16, "s2": 3, "seed": 7},
+    "moments": {"s1": 16, "s2": 3, "seed": 7},
+    "naivesampling": {"s": 48, "seed": 7},
+}
+
 
 def make_service(kind: str = "tugofwar", bucket_width: int = 10) -> SketchService:
-    params = {"s1": 32, "s2": 3, "seed": 7} if kind == "tugofwar" else {}
-    store = WindowedSketchStore(SketchSpec(kind, params), bucket_width=bucket_width)
+    spec = SketchSpec(kind, KIND_PARAMS.get(kind, {}))
+    store = WindowedSketchStore(spec, bucket_width=bucket_width)
     return SketchService(store)
+
+
+def json_round_trip(obj):
+    return json.loads(json.dumps(obj))
 
 
 # ----------------------------------------------------------------------
@@ -117,6 +134,86 @@ class TestCompactCodec:
         hostile = b"\xde\x01\x00" + b"\x05" + b"\x05"  # {5: 5}
         with pytest.raises(wire.FrameFormatError, match="key"):
             wire.decode_compact(hostile)
+
+    @pytest.mark.parametrize("obj", [
+        list(range(7)), list(range(8)),
+        [127] * 8, [128] * 8, [-128] * 8, [-129] * 8,
+        [32767] * 8, [32768] * 8, [-32768] * 8, [-32769] * 8,
+        [2**31 - 1] * 8, [2**31] * 8, [-(2**31)] * 8, [-(2**31) - 1] * 8,
+        [-(2**63)] * 8, [2**63 - 1] * 8, [-(2**63), 0, 2**63 - 1] * 3,
+        [True] * 10, [1, 0] * 5 + [True],
+        [1, 2, 3, 4, 5, 6, 7, 8.0], [[1, 2.5]] * 8,
+        [[1, 2], [3]] * 4, [[1, 2]] * 8, [(1, 2)] * 8, [[]] * 8, [[1]] * 7,
+        [[1, [2]]] * 8, ["a"] * 8, (5,) * 9,
+        {"z": list(range(-300, 300)), "pairs": [[v, v * v] for v in range(20)]},
+    ])
+    def test_packable_lists_match_json(self, obj):
+        decoded = wire.decode_compact(wire.encode_compact(obj))
+        assert decoded == json_round_trip(obj)
+        # == treats True and 1 alike; bools must survive as bools.
+        assert repr(decoded) == repr(json_round_trip(obj))
+
+    def test_packing_shrinks_integer_columns(self):
+        column = list(range(1000))
+        assert len(wire.encode_compact(column)) < 2 * 1000 + 16
+        assert len(wire.encode_compact(list(range(7)))) == 3 + 7
+
+    @pytest.mark.parametrize("dtype", [
+        np.int8, np.int16, np.int32, np.int64,
+        np.uint8, np.uint16, np.uint32, np.uint64,
+    ])
+    @pytest.mark.parametrize("shape", [(1,), (9,), (3, 4), (0,), (2, 0)])
+    def test_integer_arrays_match_json(self, dtype, shape):
+        info = np.iinfo(dtype)
+        extremes = [int(info.min), min(int(info.max), 2**63 - 1), 0, 1]
+        arr = np.resize(np.array(extremes, dtype=dtype), shape)
+        decoded = wire.decode_compact(wire.encode_compact(arr))
+        assert decoded == json_round_trip(arr.tolist())
+
+    def test_bool_and_float_arrays_match_json(self):
+        for arr in (np.array([True, False] * 5), np.arange(9) / 2):
+            decoded = wire.decode_compact(wire.encode_compact(arr))
+            assert repr(decoded) == repr(json_round_trip(arr.tolist()))
+
+    @pytest.mark.parametrize("obj", [
+        [2**63] * 10, [0] * 9 + [-(2**63) - 1], [[2**64, 0]] * 8,
+        np.array([0, 2**63], dtype=np.uint64),
+    ])
+    def test_packed_int64_overflow_refused(self, obj):
+        with pytest.raises(wire.FrameFormatError, match="int64"):
+            wire.encode_compact(obj)
+
+    @pytest.mark.parametrize("descriptor, dims, reason", [
+        (0x08, (1,), "descriptor"),  # rank 0
+        (0x38, (1, 1, 1), "descriptor"),  # rank 3
+        (0x13, (1,), "descriptor"),  # width 3
+        (0x10, (1,), "descriptor"),  # width 0
+        (0x18, (0,), "zero dimension"),
+        (0x21, (2**32 - 1, 0), "zero dimension"),
+        (0x21, (0, 2**32 - 1), "zero dimension"),
+        (0x18, (2,), "truncated"),  # 16 bytes claimed, 8 present
+        (0x28, (2**32 - 1, 2**32 - 1), "truncated"),
+    ], ids=["rank-0", "rank-3", "width-3", "width-0", "empty", "no-columns",
+            "no-rows", "short", "huge"])
+    def test_hostile_packed_descriptor_refused(self, descriptor, dims, reason):
+        hostile = (bytes([0xC7, descriptor])
+                   + struct.pack(f"<{len(dims)}I", *dims) + bytes(8))
+        with pytest.raises(wire.FrameFormatError, match=reason):
+            wire.decode_compact(hostile)
+
+    @pytest.mark.parametrize("kind", sketch_kinds())
+    def test_every_kind_sketch_response_matches_json(self, kind):
+        # One bucket, so the unmergeable kinds answer the window too.
+        service = make_service(kind, bucket_width=100)
+        rng = np.random.default_rng(14)
+        service.ingest(rng.integers(0, 100, size=2000),
+                       rng.integers(1, 500, size=2000))
+        response = handle_request(
+            service, json.dumps({"op": "sketch", "from": 0, "until": 100}))
+        assert response["ok"], response
+        decoded = wire.decode_compact(wire.encode_compact(response))
+        assert decoded == json_round_trip(response)
+        assert repr(decoded) == repr(json_round_trip(response))
 
 
 # ----------------------------------------------------------------------
@@ -340,14 +437,32 @@ class TestHandleFrame:
         assert flags & wire.FLAG_ERROR
         assert "unknown opcode" in wire.decode_compact(payload)["error"]
 
+    def test_version_1_peer_gets_typed_refusal(self):
+        # Version 1 had no packed-integer tag; its peer is refused by
+        # version, before any payload could fail as an unknown tag.
+        assert wire.SUPPORTED_VERSIONS == (2,)
+        request = wire.encode_compact({"from": 0, "until": 10})
+        response, stopping = handle_frame(
+            make_service(), 1, wire.OP_SKETCH, 0, request
+        )
+        _, opcode, flags, payload = _parse_one(response)
+        assert opcode == wire.OP_SKETCH
+        assert flags == wire.FLAG_RESPONSE | wire.FLAG_ERROR
+        error = wire.decode_compact(payload)
+        assert error["ok"] is False
+        assert "unsupported protocol version 1" in error["error"]
+        assert not stopping
+        with pytest.raises(wire.ProtocolVersionError, match="no shared"):
+            wire.hello_response({"versions": [1]})
+
     def test_hello_negotiates_max_shared(self):
         response, _ = handle_frame(
             make_service(), wire.WIRE_VERSION, wire.OP_HELLO, 0,
-            wire.encode_compact({"versions": [0, 1, 7]}),
+            wire.encode_compact({"versions": [0, wire.WIRE_VERSION, 7]}),
         )
         _, _, flags, payload = _parse_one(response)
         assert not flags & wire.FLAG_ERROR
-        assert wire.decode_compact(payload)["version"] == 1
+        assert wire.decode_compact(payload)["version"] == wire.WIRE_VERSION
 
     def test_hello_no_shared_version_is_error(self):
         response, _ = handle_frame(
@@ -604,11 +719,21 @@ class TestEventLoopServer:
 # ----------------------------------------------------------------------
 # Protocol bit-identity
 # ----------------------------------------------------------------------
+def _counter_arrays(sketch) -> tuple[np.ndarray, ...]:
+    if sketch.kind == "frequency":
+        return sketch.as_arrays()
+    return (sketch.counters,)
+
+
 class TestProtocolBitIdentity:
     """The wire must be invisible: in-process, line-JSON, and binary
-    paths produce identical estimates for every mergeable kind."""
+    paths produce identical estimates and sketches for every mergeable
+    kind — 1-D and 2-D counters, [value, count] pairs and hash
+    coefficient matrices all cross the binary wire packed."""
 
-    @pytest.mark.parametrize("kind", ["tugofwar", "frequency"])
+    WINDOWS = [(0, 200), (0, 100), (50, 150)]
+
+    @pytest.mark.parametrize("kind", ["tugofwar", "frequency", "fk_moments", "f0"])
     def test_three_paths_identical(self, kind):
         rng = np.random.default_rng(1999)
         n = 5_000
@@ -620,6 +745,7 @@ class TestProtocolBitIdentity:
         inproc.ingest(ts, vals)
 
         wire_estimates = {}
+        wire_sketches = {}
         for protocol in ("json", "binary"):
             service = make_service(kind)
             server = SketchServiceServer(
@@ -639,17 +765,36 @@ class TestProtocolBitIdentity:
                             "op": "estimate", "from": t0, "until": t1,
                             "align": "outer",
                         })["estimate"]
-                        for t0, t1 in [(0, 200), (0, 100), (50, 150)]
+                        for t0, t1 in self.WINDOWS
+                    ]
+                    wire_sketches[protocol] = [
+                        client.request({
+                            "op": "sketch", "from": t0, "until": t1,
+                            "align": "outer",
+                        })
+                        for t0, t1 in self.WINDOWS
                     ]
             finally:
                 _stop(server, thread)
 
         expected = [
             inproc.estimate_window(t0, t1, align="outer").estimate
-            for t0, t1 in [(0, 200), (0, 100), (50, 150)]
+            for t0, t1 in self.WINDOWS
         ]
         assert wire_estimates["json"] == expected
         assert wire_estimates["binary"] == expected
+
+        assert wire_sketches["binary"] == wire_sketches["json"]
+        for (t0, t1), binary, line in zip(
+            self.WINDOWS, wire_sketches["binary"], wire_sketches["json"]
+        ):
+            want, _, _ = inproc.sketch_window(t0, t1, align="outer")
+            for response in (binary, line):
+                got = load_sketch(response["sketch"])
+                for a, b in zip(_counter_arrays(got), _counter_arrays(want),
+                                strict=True):
+                    np.testing.assert_array_equal(a, b)
+                assert got.to_dict() == want.to_dict()
 
 
 # ----------------------------------------------------------------------
