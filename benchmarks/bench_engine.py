@@ -289,15 +289,14 @@ def keyed_section(
     """Section 6: keyed-fleet ingest+query as key cardinality grows.
 
     One n-event Zipf stream is spread over 1, 100, and 10k keys and
-    driven through a :class:`KeyedSketchService` — concurrent writers
-    each owning a key slice race readers querying sampled keys — so
+    driven through a :class:`SketchService` over the fleet — concurrent
+    writers each owning a key slice race readers querying sampled keys — so
     the numbers answer "what does multi-tenancy cost?" at both ends of
     the cardinality spectrum.  Acceptance: per-key answers are
     bit-identical to a monolithic per-key store fed only that key's
     events, and one key's ingest must not evict another key's cached
     window (the per-(key, window) invalidation contract).
     """
-    from repro.service import KeyedSketchService
     from repro.store import KeyedSketchStore
 
     failures: list[str] = []
@@ -315,7 +314,7 @@ def keyed_section(
         key_ids = rng.integers(0, key_count, size=n)
         keys = [f"tenant-{i}" for i in range(key_count)]
 
-        service = KeyedSketchService(
+        service = SketchService(
             KeyedSketchStore(spec, bucket_width=1), cache_entries=512
         )
 

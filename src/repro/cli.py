@@ -989,7 +989,7 @@ def _serve_main(args) -> int:
     the same wire protocols through a scatter–gather
     :class:`~repro.cluster.service.ClusterService`.
     """
-    from .service import EventLoopServer, KeyedSketchService, SketchService
+    from .service import EventLoopServer, SketchService
     from .store import KeyedSketchStore
 
     store = _load_store_file(args.path)
@@ -999,11 +999,7 @@ def _serve_main(args) -> int:
         return _serve_cluster(args, store, read_timeout)
 
     try:
-        service = (
-            KeyedSketchService(store, cache_entries=args.cache_entries)
-            if isinstance(store, KeyedSketchStore)
-            else SketchService(store, cache_entries=args.cache_entries)
-        )
+        service = SketchService(store, cache_entries=args.cache_entries)
         server = EventLoopServer(
             service,
             address=(args.host, args.port),

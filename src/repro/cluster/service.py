@@ -69,7 +69,7 @@ from ..engine.partition import HashPartitioner, key_digest, stable_hash64
 from ..engine.protocol import Sketch
 from ..engine.registry import load_sketch
 from ..engine.sharded import merge_sketches
-from ..service.service import WindowEstimate
+from ..service.service import WindowEstimate, check_key
 from ..store.spec import SketchSpec
 from .client import ShardRequestError
 from .errors import (
@@ -633,30 +633,6 @@ class ClusterService:
     # ------------------------------------------------------------------
     # Mutations
     # ------------------------------------------------------------------
-    def _check_key(self, key: str | None) -> str | None:
-        """Validate a key argument against this cluster's store shape.
-
-        Mirrors the single-node behaviour through the shared surface: a
-        keyed request against an unkeyed fleet is a ``TypeError`` (the
-        wording a key-unaware service would produce), and a keyed
-        fleet refuses unkeyed data-path requests up front instead of
-        scattering a batch every worker will reject.
-        """
-        if key is None:
-            if self._keyed:
-                raise TypeError(
-                    "this cluster serves a keyed fleet; pass key='...'"
-                )
-            return None
-        if not self._keyed:
-            raise TypeError(
-                f"this cluster serves an unkeyed store; "
-                f"got an unexpected keyword argument key={key!r}"
-            )
-        if not isinstance(key, str) or not key:
-            raise ValueError(f"key must be a non-empty string, got {key!r}")
-        return key
-
     def ingest(
         self,
         timestamps: np.ndarray | Iterable[int],
@@ -699,7 +675,7 @@ class ClusterService:
         value under different keys spreads across shards instead of
         pinning every tenant's copy of a hot value to one worker.
         """
-        key = self._check_key(key)
+        key = check_key(key, self._keyed, "cluster")
         ts = np.asarray(timestamps, dtype=np.int64)
         vals = np.asarray(values, dtype=np.int64)
         if ts.ndim != 1 or vals.ndim != 1 or ts.shape != vals.shape:
@@ -836,22 +812,31 @@ class ClusterService:
                 raise self._set_error(e, s, replicas)
         return [results[(e, s)] for e, s, _ in units]
 
-    def compact(self, before: int | None = None) -> int:
+    def compact(self, before: int | None = None, key: str | None = None) -> int:
         """Fold old spans on every shard; returns total spans folded.
 
         Applied on every replica of every epoch (replicas must fold
         identically to stay bit-identical); each set's fold count is
-        counted once.
+        counted once.  On a keyed fleet ``key`` limits the fold to one
+        key; without it every key is folded.
         """
         payload: dict = {"op": "compact"}
         if before is not None:
             payload["before"] = int(before)
+        if key is not None:
+            payload["key"] = check_key(key, self._keyed, "cluster")
         groups = self._scatter_all(payload)
         return sum(group[0][1]["folded"] for group in groups)
 
-    def evict(self, before: int) -> int:
-        """Forget old spans on every shard; returns total spans dropped."""
-        groups = self._scatter_all({"op": "evict", "before": int(before)})
+    def evict(self, before: int, key: str | None = None) -> int:
+        """Forget old spans on every shard (one key, or every key).
+
+        Returns total spans dropped.
+        """
+        payload: dict = {"op": "evict", "before": int(before)}
+        if key is not None:
+            payload["key"] = check_key(key, self._keyed, "cluster")
+        groups = self._scatter_all(payload)
         return sum(group[0][1]["evicted"] for group in groups)
 
     # ------------------------------------------------------------------
@@ -870,7 +855,7 @@ class ClusterService:
         answers the requested aligned window with the empty sketch
         (the merge identity), so epochs merge exactly by linearity.
         """
-        key = self._check_key(key)
+        key = check_key(key, self._keyed, "cluster")
         lo, hi = int(t0), int(t1)
         for _ in range(_MAX_ALIGN_ROUNDS):
             request: dict = {"op": "sketch", "from": lo, "until": hi, "align": align}
@@ -1279,12 +1264,7 @@ class ClusterService:
         """
         payload: dict = {"op": "stats"}
         if key is not None:
-            if not self._keyed:
-                raise TypeError(
-                    f"this cluster serves an unkeyed store; "
-                    f"got an unexpected keyword argument key={key!r}"
-                )
-            payload["key"] = str(key)
+            payload["key"] = check_key(key, self._keyed, "cluster")
         groups = self._scatter_all(payload)
         totals: dict = {}
         for group in groups:

@@ -2,7 +2,8 @@
 
 A worker is deliberately boring — that is the point of the multi-layer
 refactor.  It is nothing but an empty
-:class:`~repro.store.windowed.WindowedSketchStore` built from a
+:class:`~repro.store.windowed.WindowedSketchStore` (or
+:class:`~repro.store.keyed.KeyedSketchStore` fleet) built from a
 cluster-wide :class:`~repro.store.spec.SketchSpec` template, fronted
 by the same :class:`~repro.service.service.SketchService` as
 single-node ``repro serve`` and served by the threaded
@@ -26,7 +27,6 @@ import os
 import sys
 from typing import Mapping, TextIO
 
-from ..service.keyed import KeyedSketchService
 from ..service.server import DEFAULT_READ_TIMEOUT, SketchServiceServer
 from ..service.service import SketchService
 from ..store.keyed import KeyedSketchStore
@@ -112,11 +112,7 @@ def run_worker(
     """
     out = sys.stdout if announce is None else announce
     store = build_store(config)
-    service = (
-        KeyedSketchService(store, cache_entries=cache_entries)
-        if isinstance(store, KeyedSketchStore)
-        else SketchService(store, cache_entries=cache_entries)
-    )
+    service = SketchService(store, cache_entries=cache_entries)
     server_kwargs = {}
     if max_frame_bytes is not None:
         server_kwargs["max_frame_bytes"] = int(max_frame_bytes)

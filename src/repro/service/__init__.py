@@ -5,11 +5,14 @@ high-quality join-size estimates at query time*.  This package is the
 layer that actually serves those estimates under concurrent load:
 
 * :class:`~repro.service.service.SketchService` — a thread-safe front
-  on one :class:`~repro.store.windowed.WindowedSketchStore`:
+  on one :class:`~repro.store.windowed.WindowedSketchStore` or a
+  :class:`~repro.store.keyed.KeyedSketchStore` fleet:
   reader–writer snapshot isolation (queries never observe a
   half-applied ingest batch), an LRU merged-window cache keyed by
-  ``(t0, t1, align)`` invalidated precisely per dirty bucket span, and
-  single-flight coalescing of concurrent identical queries.
+  ``(key, t0, t1, align)`` invalidated precisely per key and dirty
+  bucket span, and single-flight coalescing of concurrent identical
+  queries.  :class:`~repro.service.keyed.KeyedSketchService` is the
+  same class with a constructor that accepts only a fleet.
 * :class:`~repro.service.service.CatalogService` — the same contract
   over a :class:`~repro.relational.windowed.WindowedSignatureCatalog`:
   cached windowed join / self-join estimates, invalidated per relation,

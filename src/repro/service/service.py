@@ -15,12 +15,13 @@ them so many threads can estimate while ingestion keeps running:
   bit-identical estimates).
 
 * **Merged-window cache.**  ``query``/``estimate`` results are cached
-  in an LRU keyed by the request tuple ``(t0, t1, align)``.  Each
-  entry records the bucket-span range it was merged from; a mutation
-  computes its *dirty intervals* — the covering spans of every bucket
-  the batch touched, plus any spans created or removed by compaction,
-  eviction, or retention — and drops exactly the entries whose ranges
-  intersect.  Windows over untouched history stay hot forever.
+  in an LRU keyed by the request tuple ``(key, t0, t1, align)``.  Each
+  entry records the bucket-span range it was merged from, tagged with
+  its key; a mutation computes its *dirty intervals* — the covering
+  spans of every bucket the batch touched, plus any spans created or
+  removed by compaction, eviction, or retention — and drops exactly
+  the entries of its key whose ranges intersect.  Windows over
+  untouched history, and every other key's windows, stay hot.
 
 * **Request coalescing.**  Concurrent identical cold queries share one
   merge: the first caller computes under the read lock, the rest wait
@@ -29,8 +30,10 @@ them so many threads can estimate while ingestion keeps running:
   but never cached; the first later caller leads a fresh replacement
   flight that the rest coalesce onto.
 
-:class:`SketchService` wraps one :class:`~repro.store.windowed.
-WindowedSketchStore`; :class:`CatalogService` wraps a
+:class:`SketchService` serves one :class:`~repro.store.windowed.
+WindowedSketchStore` (the key ``None``) or a :class:`~repro.store.
+keyed.KeyedSketchStore` fleet, where every data-path op names a key
+and resolves that key's windowed store; :class:`CatalogService` wraps a
 :class:`~repro.relational.windowed.WindowedSignatureCatalog` with the
 same machinery, caching windowed join / self-join estimates per
 relation pair and invalidating only the entries that mention a dirtied
@@ -56,7 +59,7 @@ import numpy as np
 from ..engine.protocol import Sketch
 from ..engine.registry import dump_sketch, load_sketch
 from ..relational.windowed import WindowedSignatureCatalog
-from ..store.keyed import _store_items
+from ..store.keyed import KeyedSketchStore, _store_items, validate_key
 from ..store.windowed import WindowedSketchStore
 from .concurrency import ReadWriteLock, SingleFlightCache
 
@@ -112,6 +115,25 @@ def dirty_intervals(
     return sorted(intervals)
 
 
+def check_key(key: str | None, keyed: bool, server: str = "service") -> str | None:
+    """A request's ``key``, checked against the shape of the store served.
+
+    A single stream refuses a key and a fleet refuses a missing one,
+    each with ``TypeError`` (not ``ValueError``) naming the fix, so a
+    mismatch fails the same way on a node and at the cluster front.
+    """
+    if not keyed:
+        if key is not None:
+            raise TypeError(
+                f"this {server} serves an unkeyed store; "
+                f"got an unexpected keyword argument key={key!r}"
+            )
+        return None
+    if key is None:
+        raise TypeError(f"this {server} serves a keyed fleet; pass key='...'")
+    return validate_key(key)
+
+
 def _copy_sketch(sketch: Sketch) -> Sketch:
     """A detached copy the caller may mutate without touching the cache."""
     copy = getattr(sketch, "copy", None)
@@ -121,39 +143,75 @@ def _copy_sketch(sketch: Sketch) -> Sketch:
 
 
 class SketchService:
-    """Thread-safe, cached windowed estimates over one sketch store.
+    """Thread-safe, cached windowed estimates over one stream or a fleet.
 
     Parameters
     ----------
     store:
-        The :class:`~repro.store.windowed.WindowedSketchStore` to
-        serve.  The service owns it from here on: all access must go
-        through the service, or the cache and isolation guarantees are
-        void.
+        The :class:`~repro.store.windowed.WindowedSketchStore` or
+        :class:`~repro.store.keyed.KeyedSketchStore` fleet to serve.
+        The service owns it from here on: all access must go through
+        the service, or the cache and isolation guarantees are void.
     cache_entries:
-        Capacity of the merged-window LRU cache.
+        Capacity of the merged-window LRU cache (shared by all keys).
+
+    Every data-path method takes a ``key``.  A single stream refuses
+    one; a fleet needs one, except that ``compact``,
+    ``evict``, ``snapshot``, ``restore`` and ``stats`` read a missing
+    key as "every key".  Both mismatches raise ``TypeError`` (in the
+    wire surface's handled-error table, with the cluster front's
+    wording), so a mismatched request fails instead of answering from
+    the wrong stream.  A fleet answers an unseen key as an empty
+    stream.
 
     Examples
     --------
-    >>> from repro.store import SketchSpec, WindowedSketchStore
-    >>> store = WindowedSketchStore(
-    ...     SketchSpec("tugofwar", {"s1": 16, "s2": 3, "seed": 1}),
-    ...     bucket_width=10,
-    ... )
-    >>> service = SketchService(store)
+    >>> from repro.store import KeyedSketchStore, SketchSpec, WindowedSketchStore
+    >>> spec = SketchSpec("tugofwar", {"s1": 16, "s2": 3, "seed": 1})
+    >>> service = SketchService(WindowedSketchStore(spec, bucket_width=10))
     >>> service.ingest([3, 27, 14], [5, 5, 9])
     >>> service.estimate(0, 30) == service.estimate(0, 30)  # second is cached
     True
+    >>> fleet = SketchService(KeyedSketchStore(spec, bucket_width=10))
+    >>> fleet.ingest([3, 27, 14], [5, 5, 9], key="a")
+    >>> fleet.estimate(0, 30, key="a") == service.estimate(0, 30)
+    True
+    >>> fleet.estimate(0, 30, key="never-seen")
+    0.0
     """
 
-    def __init__(self, store: WindowedSketchStore, cache_entries: int = 256):
-        if not isinstance(store, WindowedSketchStore):
+    def __init__(
+        self, store: WindowedSketchStore | KeyedSketchStore, cache_entries: int = 256
+    ):
+        if not isinstance(store, (WindowedSketchStore, KeyedSketchStore)):
             raise TypeError(
-                f"store must be a WindowedSketchStore, got {type(store).__name__}"
+                "store must be a WindowedSketchStore or a KeyedSketchStore, "
+                f"got {type(store).__name__}"
             )
         self._store = store
+        self._keyed = isinstance(store, KeyedSketchStore)
         self._rw = ReadWriteLock()
         self._cache = SingleFlightCache(cache_entries)
+
+    # ------------------------------------------------------------------
+    # Key resolution: a data-path op's windowed store and cache tag
+    # ------------------------------------------------------------------
+    def _resolve(
+        self, key: str | None, create: bool = False
+    ) -> tuple[WindowedSketchStore, str | None]:
+        """The windowed store an op on ``key`` acts on, and its cache tag.
+
+        The tag is the key on a fleet and None on a single stream.
+        Call under the lock.  A fleet's unseen key resolves to a
+        detached empty store built from the template (or, with
+        ``create=True``, a materialised one), so it answers like a
+        dedicated store that never saw an event.
+        """
+        tag = check_key(key, self._keyed)
+        if tag is None:
+            return self._store, None
+        store = self._store.store_for(tag, create=create)
+        return (self._store._build_store() if store is None else store), tag
 
     # ------------------------------------------------------------------
     # Mutations (exclusive; invalidate precisely, then return)
@@ -164,15 +222,18 @@ class SketchService:
         values: np.ndarray | Iterable[int],
         counts: np.ndarray | Iterable[int] | None = None,
         max_workers: int | None = None,
+        *,
+        key: str | None = None,
     ) -> None:
         """Apply one timestamped batch atomically (no query sees it half-done).
 
-        Cached windows intersecting the covering spans of the touched
-        buckets are invalidated before this returns, so any query
-        *issued after* the call completes observes the batch.  A batch
-        the store rejects (e.g. a mis-routed delete) may already be
-        partially applied — invalidation still runs, so the cache never
-        outlives the store state it described.
+        Cached windows (of ``key`` alone, on a fleet) intersecting the
+        covering spans of the touched buckets are invalidated before
+        this returns, so any query *issued after* the call completes
+        observes the batch.  A batch the store rejects (e.g. a
+        mis-routed delete) may already be partially applied —
+        invalidation still runs, so the cache never outlives the store
+        state it described.
         """
         ts = np.asarray(timestamps, dtype=np.int64)
         touched: np.ndarray = (
@@ -181,58 +242,73 @@ class SketchService:
             else np.empty(0, dtype=np.int64)
         )
         with self._rw.write():
-            before = self._store.bucket_spans
+            store, tag = self._resolve(key, create=True)
+            before = store.bucket_spans
             try:
-                self._store.ingest(
-                    ts, values, counts=counts, max_workers=max_workers
-                )
+                store.ingest(ts, values, counts=counts, max_workers=max_workers)
             finally:
                 self._cache.invalidate(
-                    None, dirty_intervals(self._store, before, touched.tolist())
+                    tag, dirty_intervals(store, before, touched.tolist())
                 )
 
-    def compact(self, before: int | None = None) -> int:
-        """Fold old spans into one; drops cached windows the fold affects."""
-        with self._rw.write():
-            spans_before = self._store.bucket_spans
-            try:
-                return self._store.compact(before=before)
-            finally:
-                self._cache.invalidate(
-                    None, dirty_intervals(self._store, spans_before, ())
-                )
+    def compact(self, before: int | None = None, key: str | None = None) -> int:
+        """Fold old spans into one (one key, or every key of a fleet).
 
-    def evict(self, before: int) -> int:
-        """Forget spans older than ``before``; drops their cached windows."""
+        Drops the cached windows the fold affects; returns spans folded.
+        """
+        return self._retain(key, lambda store: store.compact(before=before))
+
+    def evict(self, before: int, key: str | None = None) -> int:
+        """Forget spans older than ``before`` (one key, or every key).
+
+        Drops their cached windows; returns spans dropped.
+        """
+        return self._retain(key, lambda store: store.evict(before))
+
+    def _retain(self, key: str | None, apply) -> int:
+        """Run a compact/evict ``apply`` on one store or a whole fleet."""
         with self._rw.write():
-            spans_before = self._store.bucket_spans
+            if self._keyed and key is None:
+                # The fleet checks ``before`` once, even with no keys;
+                # each key's windows are invalidated under its own tag.
+                target = self._store
+                stores = {k: self._store.store_for(k) for k in self._store.keys}
+            else:
+                target, tag = self._resolve(key)
+                stores = {tag: target}
+            spans_before = {tag: s.bucket_spans for tag, s in stores.items()}
             try:
-                return self._store.evict(before)
+                return apply(target)
             finally:
-                self._cache.invalidate(
-                    None, dirty_intervals(self._store, spans_before, ())
-                )
+                for tag, store in stores.items():
+                    self._cache.invalidate(
+                        tag, dirty_intervals(store, spans_before[tag], ())
+                    )
 
     # ------------------------------------------------------------------
-    # Queries (shared; coalesced and cached)
+    # Queries (shared; coalesced and cached per (key, window))
     # ------------------------------------------------------------------
-    def query(self, t0: int, t1: int, align: str = "strict") -> Sketch:
+    def query(
+        self, t0: int, t1: int, align: str = "strict", *, key: str | None = None
+    ) -> Sketch:
         """The merged sketch of the window, as an independent copy."""
-        return _copy_sketch(self._entry(t0, t1, align).sketch)
+        return _copy_sketch(self._entry(key, t0, t1, align).sketch)
 
-    def estimate(self, t0: int, t1: int, align: str = "strict") -> float:
+    def estimate(
+        self, t0: int, t1: int, align: str = "strict", *, key: str | None = None
+    ) -> float:
         """Self-join estimate over the window (cached merge-on-query)."""
-        return self._entry(t0, t1, align).estimate
+        return self._entry(key, t0, t1, align).estimate
 
     def estimate_window(
-        self, t0: int, t1: int, align: str = "strict"
+        self, t0: int, t1: int, align: str = "strict", *, key: str | None = None
     ) -> WindowEstimate:
         """The estimate together with the window it actually covers."""
-        entry = self._entry(t0, t1, align)
+        entry = self._entry(key, t0, t1, align)
         return WindowEstimate(entry.estimate, entry.lo, entry.hi)
 
     def sketch_window(
-        self, t0: int, t1: int, align: str = "strict"
+        self, t0: int, t1: int, align: str = "strict", *, key: str | None = None
     ) -> tuple[Sketch, int, int]:
         """A detached merged sketch plus its resolved window, atomically.
 
@@ -240,29 +316,30 @@ class SketchService:
         describe the returned sketch — reading them through two
         separate calls could interleave with a concurrent mutation.
         """
-        entry = self._entry(t0, t1, align)
+        entry = self._entry(key, t0, t1, align)
         return _copy_sketch(entry.sketch), entry.lo, entry.hi
 
     def window_bounds(
-        self, t0: int, t1: int, align: str = "strict"
+        self, t0: int, t1: int, align: str = "strict", *, key: str | None = None
     ) -> tuple[int, int]:
         """The timestamp window a query would actually cover."""
         with self._rw.read():
-            return self._store.window_bounds(t0, t1, align)
+            return self._resolve(key)[0].window_bounds(t0, t1, align)
 
-    def _entry(self, t0: int, t1: int, align: str) -> _WindowEntry:
-        key = (int(t0), int(t1), str(align))
+    def _entry(self, key: str | None, t0: int, t1: int, align: str) -> _WindowEntry:
+        tag = check_key(key, self._keyed)
 
         def compute() -> tuple[_WindowEntry, list]:
             with self._rw.read():
-                lo, hi = self._store.window_bounds(t0, t1, align)
-                sketch = self._store.query_resolved(lo, hi)
+                store, _ = self._resolve(tag)
+                lo, hi = store.window_bounds(t0, t1, align)
+                sketch = store.query_resolved(lo, hi)
             b0 = (lo - self._store.origin) // self._store.bucket_width
             b1 = (hi - self._store.origin) // self._store.bucket_width
             entry = _WindowEntry(sketch, float(sketch.estimate()), lo, hi)
-            return entry, [(None, b0, b1)]
+            return entry, [(tag, b0, b1)]
 
-        return self._cache.get(key, compute)
+        return self._cache.get((tag, int(t0), int(t1), str(align)), compute)
 
     # ------------------------------------------------------------------
     # Introspection / persistence
@@ -281,8 +358,19 @@ class SketchService:
         return self._store.origin
 
     @property
+    def keys(self) -> list[str]:
+        """Every materialised key of a fleet (consistent snapshot)."""
+        with self._rw.read():
+            return self._store.keys
+
+    @property
+    def key_count(self) -> int:
+        with self._rw.read():
+            return self._store.key_count
+
+    @property
     def spans(self) -> list[tuple[int, int]]:
-        """Timestamp ranges of the stored spans (consistent snapshot)."""
+        """Timestamp ranges of the stored spans (a fleet's: across keys)."""
         with self._rw.read():
             return self._store.spans
 
@@ -308,30 +396,42 @@ class SketchService:
         spans, coverage, and memory accounting always describe one
         store state — unlike reading the properties individually,
         which could interleave with a mutation.  This is the payload
-        behind the wire ``info`` op.
+        behind the wire ``info`` op.  A fleet adds ``keyed: True`` and
+        its key inventory, so wire clients (and the cluster's keyed
+        probe) tell it from a single stream without a second round
+        trip.
         """
         from ..kernels import active_backend
 
         with self._rw.read():
-            coverage = self._store.coverage
-            return {
-                "kind": self._store.spec.kind,
-                "spec": self._store.spec.to_dict(),
-                "bucket_width": self._store.bucket_width,
-                "origin": self._store.origin,
-                "spans": [list(span) for span in self._store.spans],
-                "coverage": None if coverage is None else list(coverage),
-                "memory_words": self._store.memory_words,
-                "kernel_backend": active_backend(),
+            store = self._store
+            info = {
+                "kind": store.spec.kind,
+                "spec": store.spec.to_dict(),
+                "bucket_width": store.bucket_width,
+                "origin": store.origin,
             }
+            if self._keyed:
+                info["keyed"] = True
+                info["keys"] = store.keys
+                info["key_count"] = store.key_count
+                info["max_keys"] = store.max_keys
+            coverage = store.coverage
+            info["spans"] = [list(span) for span in store.spans]
+            info["coverage"] = None if coverage is None else list(coverage)
+            info["memory_words"] = store.memory_words
+        info["kernel_backend"] = active_backend()
+        return info
 
-    def snapshot(self) -> dict:
-        """A consistent whole-store checkpoint (no mutation mid-dump)."""
+    def snapshot(self, key: str | None = None) -> dict:
+        """A consistent checkpoint: the whole store, or one fleet key's."""
         with self._rw.read():
-            return self._store.to_dict()
+            if key is None:
+                return self._store.to_dict()
+            return self._resolve(key)[0].to_dict()
 
-    def restore(self, snapshot) -> None:
-        """Replace the served store with a :meth:`snapshot` checkpoint.
+    def restore(self, snapshot, key: str | None = None) -> None:
+        """Replace the served store (or one fleet key) with a checkpoint.
 
         The recovery half of replication: a respawned (or suspect)
         replica is handed a healthy peer's snapshot and swaps it in as
@@ -340,10 +440,20 @@ class SketchService:
         The snapshot must describe the same sketch spec and bucket
         geometry this service was configured with; restoring across
         configs would silently break the value-partition invariant,
-        so it raises ``ValueError`` instead.  The whole cache is
-        dropped: every window's answer may have changed.
+        so it raises ``ValueError`` instead.  With ``key`` the payload
+        is one windowed-store snapshot for that key of the fleet.
+        Every restored key's cached windows are dropped: any answer
+        may have changed.
         """
-        store = WindowedSketchStore.from_dict(snapshot)
+        if key is not None:
+            tag = check_key(key, self._keyed)
+            with self._rw.write():
+                try:
+                    self._store.restore(tag, snapshot)
+                finally:
+                    self._cache.invalidate(tag, [_EVERYWHERE])
+            return
+        store = type(self._store).from_dict(snapshot)
         with self._rw.write():
             current = self._store
             for field in ("bucket_width", "origin"):
@@ -358,26 +468,43 @@ class SketchService:
                     f"restore snapshot disagrees on spec: "
                     f"{store.spec.to_dict()!r} != {current.spec.to_dict()!r}"
                 )
+            tags = set(current.keys) | set(store.keys) if self._keyed else {None}
             self._store = store
-            self._cache.invalidate(None, [_EVERYWHERE])
+            for tag in tags:
+                self._cache.invalidate(tag, [_EVERYWHERE])
 
-    def stats(self) -> dict:
+    def stats(self, key: str | None = None) -> dict:
         """Cache statistics plus the store's net logical item count.
 
         ``items`` (inserts minus deletes, summed over spans) is the
         per-shard load signal the cluster's ``stats()`` aggregates to
-        make partition skew observable.
+        make partition skew observable.  A fleet adds ``items_by_key``,
+        restricted to ``key`` when one is given (an unseen key reports
+        0 items), so one tenant's load is observable without shipping
+        the whole fleet's inventory.
         """
         from ..kernels import active_backend
 
+        tag = None if key is None else check_key(key, self._keyed)
         stats = dict(self._cache.stats)
         with self._rw.read():
-            stats["items"] = _store_items(self._store)
+            if self._keyed:
+                items = self._store.items_by_key()
+                if tag is not None:
+                    items = {tag: items.get(tag, 0)}
+                stats["keyed"] = True
+                stats["key_count"] = len(items)
+                stats["items"] = sum(items.values())
+                stats["items_by_key"] = {k: items[k] for k in sorted(items)}
+            else:
+                stats["items"] = _store_items(self._store)
         stats["kernel_backend"] = active_backend()
         return stats
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
-        return f"SketchService({self._store!r}, cache={self._cache.stats})"
+        return (
+            f"{type(self).__name__}({self._store!r}, cache={self._cache.stats})"
+        )
 
 
 class _WindowView:

@@ -96,11 +96,12 @@ def _window(request: Mapping) -> tuple[int, int, str]:
 def _keyed(request: Mapping) -> dict:
     """The ``key=`` kwarg a request asks for, or nothing.
 
-    The key is forwarded *only when present*, so a keyed request
-    against a key-unaware service raises a ``TypeError`` (a handled
-    error: "unexpected keyword argument 'key'") instead of silently
-    answering from the wrong stream, and unkeyed requests keep
-    working against both service shapes.
+    The key is forwarded *only when present*: a keyed request against
+    a single-stream service then raises a ``TypeError`` (a handled
+    error naming the "unkeyed store") instead of silently answering
+    from the wrong stream, and a key-less one leaves the service to
+    decide (a fleet refuses it on the data path and reads it as
+    "every key" for compact, evict, snapshot, restore and stats).
     """
     key = request.get("key")
     if key is None:
@@ -146,13 +147,16 @@ def _op_ingest(service, request: Mapping) -> dict:
 
 def _op_compact(service, request: Mapping) -> dict:
     before = request.get("before")
-    return {"folded": service.compact(None if before is None else int(before))}
+    folded = service.compact(
+        None if before is None else int(before), **_keyed(request)
+    )
+    return {"folded": folded}
 
 
 def _op_evict(service, request: Mapping) -> dict:
     if "before" not in request:
         raise ValueError("evict needs a 'before' bucket boundary")
-    return {"evicted": service.evict(int(request["before"]))}
+    return {"evicted": service.evict(int(request["before"]), **_keyed(request))}
 
 
 def _op_info(service, request: Mapping) -> dict:
@@ -167,13 +171,13 @@ def _op_stats(service, request: Mapping) -> dict:
 
 
 def _op_snapshot(service, request: Mapping) -> dict:
-    return {"snapshot": service.snapshot()}
+    return {"snapshot": service.snapshot(**_keyed(request))}
 
 
 def _op_restore(service, request: Mapping) -> dict:
     if "snapshot" not in request or not isinstance(request["snapshot"], Mapping):
         raise ValueError("restore needs a 'snapshot' mapping")
-    service.restore(request["snapshot"])
+    service.restore(request["snapshot"], **_keyed(request))
     return {"restored": True}
 
 

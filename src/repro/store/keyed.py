@@ -254,6 +254,11 @@ class KeyedSketchStore:
     # Introspection
     # ------------------------------------------------------------------
     @property
+    def spans(self) -> list[tuple[int, int]]:
+        """Distinct timestamp span ranges across every key, sorted."""
+        return sorted({span for s in self._stores.values() for span in s.spans})
+
+    @property
     def span_count(self) -> int:
         """Total bucket spans across every key."""
         return sum(s.span_count for s in self._stores.values())

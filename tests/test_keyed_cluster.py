@@ -21,6 +21,7 @@ from repro.cluster import (
     store_config,
 )
 from repro.engine import dump_sketch
+from repro.service.surface import handle_request_mapping
 from repro.store import SketchSpec, WindowedSketchStore
 from repro.store.keyed import KeyedSketchStore
 
@@ -115,6 +116,26 @@ class TestKeyedBitIdentity:
         assert keyed_service.estimate(0, 10, key="never-ingested") == 0.0
 
 
+class TestKeyedRetention:
+    @pytest.mark.parametrize("op", ["evict", "compact"])
+    def test_one_tenant_retention_leaves_others_identical(self, keyed_service, op):
+        """A keyed evict or compact reaches every shard but one key."""
+        mine, other = f"{op}-mine", f"{op}-other"
+        for key in (mine, other):
+            keyed_service.ingest([1, 2, 15], [5, 6, 5], key=key)
+        other_before = dump_sketch(keyed_service.query(0, 20, key=other))
+        request = {"op": op, "key": mine}
+        if op == "evict":
+            request["before"] = 10
+        reply = handle_request_mapping(keyed_service, request)
+        assert reply["ok"], reply
+        assert reply["evicted" if op == "evict" else "folded"] >= 1
+        if op == "evict":
+            assert keyed_service.estimate(0, 10, key=mine) == 0.0
+        assert dump_sketch(keyed_service.query(0, 20, key=other)) == other_before
+        assert keyed_service.estimate(0, 10, key=other) == 1.25
+
+
 class TestKeyedObservability:
     def test_stats_per_key_and_per_shard(self, keyed_service):
         keyed_service.ingest([1, 2, 3], [5, 6, 7], key="obs-a")
@@ -160,6 +181,29 @@ class TestKeyedUnkeyedMismatch:
                     service.ingest([1], [5], key="a")
                 with pytest.raises(TypeError, match="unkeyed store"):
                     service.stats(key="a")
+            finally:
+                service.close()
+
+    def test_plain_cluster_refuses_keyed_retention_and_snapshots(self):
+        plain = WindowedSketchStore(
+            SketchSpec("tugofwar", {"s1": 16, "s2": 3, "seed": 7}),
+            bucket_width=10,
+        )
+        with LocalCluster(store_config(plain), num_shards=1) as cluster:
+            service = ClusterService(cluster.replica_clients())
+            try:
+                service.ingest([1, 15], [5, 5])
+                snapshot = service.snapshot()
+                for request in (
+                    {"op": "compact", "key": "a"},
+                    {"op": "evict", "before": 10, "key": "a"},
+                    {"op": "snapshot", "key": "a"},
+                    {"op": "restore", "snapshot": snapshot, "key": "a"},
+                ):
+                    reply = handle_request_mapping(service, request)
+                    assert reply["ok"] is False, request
+                    assert "key" in reply["error"]
+                assert service.snapshot() == snapshot
             finally:
                 service.close()
 

@@ -1,11 +1,11 @@
-"""KeyedSketchService: per-(key, window) caching and keyed wire ops.
+"""SketchService over a keyed fleet: per-(key, window) caching and keyed wire ops.
 
-Service layer of ISSUE 8.  The bars: query methods refuse key-less
-calls with an actionable TypeError; cache invalidation is precise per
-key (one tenant's ingest never evicts another's hot windows); keyed
-requests work over BOTH wire protocols on one port; and a keyed
-request against an unkeyed service is a handled error, never a wrong
-answer.
+The bars: query methods refuse key-less calls with an actionable
+TypeError; cache invalidation is precise per key (one tenant's ingest
+never evicts another's hot windows); a keyed compact or evict touches
+only its own key; keyed requests work over BOTH wire protocols on one
+port; and a keyed request against an unkeyed service is a handled
+error, never a wrong answer.
 """
 
 from __future__ import annotations
@@ -24,6 +24,7 @@ from repro.service import (
     SketchServiceServer,
     wire,
 )
+from repro.engine import dump_sketch
 from repro.service.surface import handle_request_mapping
 from repro.store import SketchSpec, WindowedSketchStore
 from repro.store.keyed import KeyedSketchStore
@@ -31,8 +32,8 @@ from repro.store.keyed import KeyedSketchStore
 SPEC = SketchSpec("tugofwar", {"s1": 16, "s2": 3, "seed": 7})
 
 
-def make_keyed_service(cache_entries: int = 64) -> KeyedSketchService:
-    return KeyedSketchService(
+def make_keyed_service(cache_entries: int = 64) -> SketchService:
+    return SketchService(
         KeyedSketchStore(SPEC, bucket_width=10), cache_entries=cache_entries
     )
 
@@ -84,6 +85,22 @@ class TestRequireKey:
         assert isinstance(service.snapshot(), dict)
 
 
+class TestKeyedSketchService:
+    def test_refuses_a_single_stream(self):
+        with pytest.raises(TypeError, match="KeyedSketchStore"):
+            KeyedSketchService(WindowedSketchStore(SPEC, bucket_width=10))
+
+    def test_is_the_one_service_over_a_fleet(self):
+        events = ([1, 2, 15], [5, 6, 5])
+        typed = KeyedSketchService(KeyedSketchStore(SPEC, bucket_width=10))
+        merged = make_keyed_service()
+        typed.ingest(*events, key="a")
+        merged.ingest(*events, key="a")
+        assert isinstance(typed, SketchService)
+        assert typed.info() == merged.info()
+        assert typed.snapshot() == merged.snapshot()
+
+
 class TestCachePrecision:
     def test_ingest_only_invalidates_its_own_key(self):
         service = make_keyed_service()
@@ -132,6 +149,52 @@ class TestCachePrecision:
             assert service.estimate(0, 60, key=key) == raw.estimate(key, 0, 60)
             got = service.query(0, 60, key=key)
             assert np.array_equal(got.counters, raw.query(key, 0, 60).counters)
+
+
+class TestKeyedRetention:
+    """A keyed compact or evict acts on its own key and nowhere else."""
+
+    @pytest.mark.parametrize(
+        "request_",
+        [
+            {"op": "evict", "before": 10, "key": "a"},
+            {"op": "compact", "key": "a"},
+        ],
+        ids=["evict", "compact"],
+    )
+    def test_other_tenant_untouched_over_the_wire(self, request_):
+        service = make_keyed_service()
+        for key in ("a", "b"):
+            service.ingest([1, 2, 15], [5, 6, 5], key=key)
+        b_before = dump_sketch(service.query(0, 20, key="b"))
+        b_estimate = service.estimate(0, 10, key="b")
+        service.estimate(0, 10, key="a")  # cached, so the op must drop it
+        reply = handle_request_mapping(service, request_)
+        assert reply["ok"], reply
+        assert dump_sketch(service.query(0, 20, key="b")) == b_before
+        assert service.estimate(0, 10, key="b") == b_estimate == 1.25
+        if request_["op"] == "evict":
+            assert reply["evicted"] == 1
+            assert service.estimate(0, 10, key="a") == 0.0
+        else:
+            assert reply["folded"] == 2
+            assert service.snapshot(key="a") != service.snapshot(key="b")
+
+    def test_keyless_retention_acts_on_every_key(self):
+        service = make_keyed_service()
+        for key in ("a", "b"):
+            service.ingest([1, 2, 15], [5, 6, 5], key=key)
+            assert service.estimate(0, 10, key=key) == 1.25  # now cached
+        assert service.evict(10) == 2
+        assert service.estimate(0, 10, key="a") == 0.0
+        assert service.estimate(0, 10, key="b") == 0.0
+
+    def test_unseen_key_retention_is_a_no_op(self):
+        service = make_keyed_service()
+        service.ingest([1, 15], [5, 5], key="a")
+        assert service.evict(10, key="ghost") == 0
+        assert service.compact(key="ghost") == 0
+        assert service.keys == ["a"]
 
 
 class TestSnapshotRestore:
@@ -261,6 +324,27 @@ class TestKeyedVsUnkeyedMismatch:
             {"op": "ingest", "timestamps": [1], "values": [5], "key": "a"},
         )
         assert reply["ok"] is False
+
+    @pytest.mark.parametrize(
+        "request_",
+        [
+            {"op": "compact", "key": "a"},
+            {"op": "evict", "before": 10, "key": "a"},
+            {"op": "snapshot", "key": "a"},
+            {"op": "restore", "snapshot": {}, "key": "a"},
+        ],
+        ids=["compact", "evict", "snapshot", "restore"],
+    )
+    def test_keyed_retention_against_plain_service_is_handled(self, request_):
+        plain = SketchService(WindowedSketchStore(SPEC, bucket_width=10))
+        plain.ingest([1, 15], [5, 5])
+        before = plain.snapshot()
+        if request_["op"] == "restore":
+            request_ = dict(request_, snapshot=before)
+        reply = handle_request_mapping(plain, request_)
+        assert reply["ok"] is False
+        assert "unkeyed store" in reply["error"]
+        assert plain.snapshot() == before
 
     def test_keyed_request_in_process_answers_match_wire(self):
         service = make_keyed_service()

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import json
 import socket
+import sys
 import threading
 import time
 
@@ -27,7 +28,12 @@ from repro.service import (
     handle_request,
 )
 from repro.service.service import dirty_intervals
-from repro.store import SketchSpec, WindowAlignmentError, WindowedSketchStore
+from repro.store import (
+    KeyedSketchStore,
+    SketchSpec,
+    WindowAlignmentError,
+    WindowedSketchStore,
+)
 from repro.relational.windowed import WindowedSignatureCatalog
 
 
@@ -38,6 +44,11 @@ def make_store(**kwargs) -> WindowedSketchStore:
 
 def make_service(**kwargs) -> SketchService:
     return SketchService(make_store(**kwargs))
+
+
+def make_fleet() -> KeyedSketchStore:
+    spec = SketchSpec("tugofwar", {"s1": 32, "s2": 3, "seed": 7})
+    return KeyedSketchStore(spec, bucket_width=10)
 
 
 class TestServiceBasics:
@@ -284,8 +295,35 @@ class TestSingleFlightCacheUnit:
         assert cache.get("k", lambda: ("recomputed", [])) == "new"
 
 
+#: The streams each store shape serves, as the ``key=`` kwargs naming them.
+STREAMS = {"stream": ({},), "fleet": ({"key": "k0"}, {"key": "k1"})}
+
+
+def _join_all(threads, timeout: float = 60.0) -> None:
+    for t in threads:
+        t.join(timeout=timeout)
+        assert not t.is_alive(), f"{t.name} did not finish in {timeout} s"
+
+
+@pytest.fixture
+def fast_switching():
+    """Switch threads far more often, so the interleavings are denser."""
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        yield
+    finally:
+        sys.setswitchinterval(interval)
+
+
+@pytest.mark.usefixtures("fast_switching")
+@pytest.mark.parametrize("shape", sorted(STREAMS))
 class TestLinearizabilityStress:
-    """Interleaved ingest/query/compact vs a serial replay, bit for bit."""
+    """Interleaved ingest/query/compact vs a serial replay, bit for bit.
+
+    Over a fleet each ingester writes its batches to two keys in turn
+    and every check is made per key.
+    """
 
     N_INGEST_THREADS = 4
     BATCHES_PER_THREAD = 12
@@ -304,15 +342,44 @@ class TestLinearizabilityStress:
             out.append(thread_batches)
         return out
 
-    def test_concurrent_history_matches_serial_replay(self):
-        service = make_service()
-        # Stable region far from the hot buckets, loaded before any
-        # concurrency: its estimate is the snapshot-isolation canary.
+    @staticmethod
+    def _service(shape) -> SketchService:
+        return SketchService(make_store() if shape == "stream" else make_fleet())
+
+    @staticmethod
+    def _routed(shape, thread_batches):
+        """A thread's batches with the stream each goes to, in turn."""
+        streams = STREAMS[shape]
+        return [
+            (streams[i % len(streams)], ts, vals)
+            for i, (ts, vals) in enumerate(thread_batches)
+        ]
+
+    @staticmethod
+    def _serial(shape, history):
+        """Replay ``(stream, ts, vals)`` in order: the store, per-stream stores."""
+        if shape == "stream":
+            store = make_store()
+            for _, ts, vals in history:
+                store.ingest(ts, vals)
+            return store, [store]
+        fleet = make_fleet()
+        for stream, ts, vals in history:
+            fleet.ingest(stream["key"], ts, vals)
+        return fleet, [fleet.store_for(s["key"]) for s in STREAMS[shape]]
+
+    def test_concurrent_history_matches_serial_replay(self, shape):
+        service = self._service(shape)
+        streams = STREAMS[shape]
+        # Stable region far from the hot buckets, loaded into every
+        # stream before any concurrency: its estimate is the
+        # snapshot-isolation canary (equal per stream: same events).
         stable_rng = np.random.default_rng(5)
         stable_ts = stable_rng.integers(1000, 1100, size=500)
         stable_vals = stable_rng.integers(0, 30, size=500)
-        service.ingest(stable_ts, stable_vals)
-        stable_estimate = service.estimate(1000, 1100)
+        for stream in streams:
+            service.ingest(stable_ts, stable_vals, **stream)
+        stable_estimate = service.estimate(1000, 1100, **streams[0])
 
         batches = self._batches()
         errors: list[BaseException] = []
@@ -320,29 +387,36 @@ class TestLinearizabilityStress:
 
         def ingester(thread_batches):
             try:
-                for ts, vals in thread_batches:
-                    service.ingest(ts, vals)
+                for stream, ts, vals in self._routed(shape, thread_batches):
+                    service.ingest(ts, vals, **stream)
             except BaseException as exc:  # pragma: no cover - diagnostic
                 errors.append(exc)
 
         def querier():
             try:
                 while not stop.is_set():
-                    # Canary: concurrent ingest into [0, 400) must never
-                    # perturb the stable window — bit-identical always.
-                    assert service.estimate(1000, 1100) == stable_estimate
-                    # Atomicity: every batch lands whole, so the hot
-                    # region's multiset size is always a multiple of
-                    # the batch size (a torn batch would break this).
-                    hot = service.query(0, 400, align="outer")
-                    assert hot.n % self.BATCH == 0, f"torn batch visible: n={hot.n}"
+                    for stream in streams:
+                        # Canary: concurrent ingest into [0, 400) must
+                        # never perturb the stable window — bit-identical
+                        # always.
+                        assert (
+                            service.estimate(1000, 1100, **stream)
+                            == stable_estimate
+                        )
+                        # Atomicity: every batch lands whole, so the hot
+                        # region's multiset size is always a multiple of
+                        # the batch size (a torn batch would break this).
+                        hot = service.query(0, 400, align="outer", **stream)
+                        assert hot.n % self.BATCH == 0, (
+                            f"torn batch visible: n={hot.n}"
+                        )
             except BaseException as exc:  # pragma: no cover - diagnostic
                 errors.append(exc)
 
         def compactor():
             try:
                 while not stop.is_set():
-                    service.compact(before=200)
+                    service.compact(before=200)  # every key of a fleet
                     time.sleep(0.002)
             except BaseException as exc:  # pragma: no cover - diagnostic
                 errors.append(exc)
@@ -356,59 +430,69 @@ class TestLinearizabilityStress:
             t.start()
         for t in ingesters:
             t.start()
-        for t in ingesters:
-            t.join()
-        stop.set()
-        for t in others:
-            t.join()
+        try:
+            _join_all(ingesters)
+        finally:
+            stop.set()
+        _join_all(others)
         assert not errors, errors
 
         # Serial replay: same batches, one thread, arbitrary fixed
         # order, same compaction horizon.  Linearity demands final
         # estimates bit-identical to the concurrent history.
-        serial = make_store()
-        serial.ingest(stable_ts, stable_vals)
+        history = [(stream, stable_ts, stable_vals) for stream in streams]
         for thread_batches in batches:
-            for ts, vals in thread_batches:
-                serial.ingest(ts, vals)
+            history.extend(self._routed(shape, thread_batches))
+        serial, per_stream = self._serial(shape, history)
         serial.compact(before=200)
-        for window in [(0, 400), (0, 200), (200, 400), (0, 1100), (1000, 1100)]:
-            assert service.estimate(*window) == serial.estimate(*window)
-            assert np.array_equal(
-                service.query(*window).counters, serial.query(*window).counters
-            )
+        # (0, 400, "outer") is the window the queriers kept cached.
+        windows = [(0, 400, "outer"), (0, 400, "strict"), (0, 200, "strict"),
+                   (200, 400, "strict"), (0, 1100, "strict"),
+                   (1000, 1100, "strict")]
+        for stream, store in zip(streams, per_stream):
+            for window in windows:
+                assert service.estimate(*window, **stream) == store.estimate(*window)
+                assert np.array_equal(
+                    service.query(*window, **stream).counters,
+                    store.query(*window).counters,
+                )
 
-    def test_concurrent_out_of_order_ingest_invalidation(self):
+    def test_concurrent_out_of_order_ingest_invalidation(self, shape):
         # Writers repeatedly ingest *into already-queried buckets*
         # (every batch is out of order w.r.t. the queries); each
         # post-join estimate must equal the serial replay exactly.
-        service = make_service()
+        service = self._service(shape)
+        streams = STREAMS[shape]
         batches = self._batches()
         barrier = threading.Barrier(self.N_INGEST_THREADS + 1)
 
         def ingester(thread_batches):
             barrier.wait()
-            for ts, vals in thread_batches:
-                service.ingest(ts, vals)
+            for stream, ts, vals in self._routed(shape, thread_batches):
+                service.ingest(ts, vals, **stream)
 
         def querier():
             barrier.wait()
             for _ in range(50):
-                service.estimate(0, 400, align="outer")
+                for stream in streams:
+                    service.estimate(0, 400, align="outer", **stream)
 
         threads = [
             threading.Thread(target=ingester, args=(b,)) for b in batches
         ] + [threading.Thread(target=querier)]
         for t in threads:
             t.start()
-        for t in threads:
-            t.join()
+        _join_all(threads)
 
-        serial = make_store()
+        history = []
         for thread_batches in batches:
-            for ts, vals in thread_batches:
-                serial.ingest(ts, vals)
-        assert service.estimate(0, 400) == serial.estimate(0, 400)
+            history.extend(self._routed(shape, thread_batches))
+        _, per_stream = self._serial(shape, history)
+        for stream, store in zip(streams, per_stream):
+            for align in ("outer", "strict"):  # "outer" was cached mid-run
+                assert service.estimate(0, 400, align, **stream) == store.estimate(
+                    0, 400, align
+                )
 
 
 class TestCatalogService:
