@@ -263,7 +263,9 @@ class DistinctCountSketch(Sketch):
                 f"counter matrix has shape {sketch._c.shape}, "
                 f"expected ({sketch.s2}, {sketch.s1})"
             )
-        sketch._buckets = PolynomialHashFamily.from_dict(payload["buckets"])
+        sketch._buckets = PolynomialHashFamily.from_dict(
+            payload["buckets"], count=sketch.s2, independence=(4,)
+        )
         return sketch
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic

@@ -302,7 +302,11 @@ class FkMomentSketch(Sketch):
                 f"counter matrix has shape {sketch._c.shape}, "
                 f"expected ({sketch.s1 * sketch.s2}, {sketch.k})"
             )
-        sketch._digits = PolynomialHashFamily.from_dict(payload["digits"])
+        sketch._digits = PolynomialHashFamily.from_dict(
+            payload["digits"],
+            count=sketch._c.shape[0],
+            independence=(max(sketch.k, 4),),
+        )
         return sketch
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic

@@ -24,19 +24,26 @@ coefficients are stored as a ``(num_functions, degree)`` uint64 matrix
 and evaluation uses Horner's rule.  All intermediate products fit in
 uint64 because coefficients and points are both < 2^31.
 
-Every family drawn from one integer seed shares one read-only
-coefficient matrix per process (a bounded cache keyed by ``(count,
-independence, seed)``): the sketches of a windowed or keyed store all
-use the same eps mappings, so a new bucket costs its counters and not
-another copy of the polynomials.
+Every family is named by its seed: an unseeded family draws one from
+OS entropy and records it.  Families built from one seed share one
+read-only coefficient matrix per process (a bounded cache keyed by
+``(count, independence, seed)``): the sketches of a windowed or keyed
+store all use the same eps mappings, so a new bucket costs its counters
+and not another copy of the polynomials.  A payload names the family
+as that seed triple plus a 64-bit digest of the matrix instead of
+shipping the matrix itself.
 """
 
 from __future__ import annotations
 
 import functools
-from typing import Iterable
+import hashlib
+import secrets
+from typing import Collection, Iterable, Mapping
 
 import numpy as np
+
+from ..engine.registry import SketchPayloadError
 
 __all__ = [
     "MERSENNE_PRIME_31",
@@ -73,32 +80,49 @@ def _mod_mersenne(y: np.ndarray) -> np.ndarray:
 #: many seeds keeps alive after its sketches are gone.
 _SHARED_FAMILIES = 16
 
+#: Every integer of a family payload fits an int64: seeds lie in
+#: [0, 2^63) and digests are signed.
+_INT64_LIMIT = 1 << 63
 
-def _draw_coefficients(count: int, independence: int, seed) -> np.ndarray:
-    """A read-only ``(count, independence)`` matrix drawn from ``seed``.
+
+def _draw_family(count: int, independence: int, seed: int) -> tuple[np.ndarray, int]:
+    """A read-only ``(count, independence)`` matrix drawn from ``seed``,
+    with its digest.
 
     Row i holds the coefficients of polynomial i, highest degree first
-    (Horner order).
+    (Horner order).  The digest is the first 8 bytes of the matrix's
+    BLAKE2b hash as a signed int64, so it fits a payload's int64 field.
     """
     rng = np.random.default_rng(seed)
     coeffs = rng.integers(
         0, MERSENNE_PRIME_31, size=(count, independence), dtype=np.uint64
     )
     coeffs.flags.writeable = False
-    return coeffs
+    raw = hashlib.blake2b(coeffs.astype("<u8").tobytes(), digest_size=8).digest()
+    return coeffs, int.from_bytes(raw, "little", signed=True)
 
 
-_shared_coefficients = functools.lru_cache(maxsize=_SHARED_FAMILIES)(
-    _draw_coefficients
-)
+_shared_family = functools.lru_cache(maxsize=_SHARED_FAMILIES)(_draw_family)
 
 
-def _seed_key(seed) -> int | None:
-    """``seed`` as a cache key, or None when it does not name one draw
-    (``None`` draws fresh entropy; bools and negatives go uncached)."""
+def _check_seed(seed) -> int:
+    """``seed`` as an int, or ValueError unless it lies in [0, 2^63)."""
     if isinstance(seed, (int, np.integer)) and not isinstance(seed, bool):
-        return int(seed) if seed >= 0 else None
-    return None
+        if 0 <= int(seed) < _INT64_LIMIT:
+            return int(seed)
+    raise ValueError(f"seed must be an integer in [0, 2^63), got {seed!r}")
+
+
+def _payload_int(payload, name: str, lo: int) -> int:
+    """The integer field ``name`` of a family payload, in [lo, 2^63)."""
+    value = payload.get(name)
+    if type(value) is not int or not lo <= value < _INT64_LIMIT:
+        bound = "-2^63" if lo < 0 else lo
+        raise SketchPayloadError(
+            f"corrupt hash family payload: {name!r} must be an integer "
+            f"in [{bound}, 2^63), got {value!r}"
+        )
+    return value
 
 
 class PolynomialHashFamily:
@@ -117,11 +141,12 @@ class PolynomialHashFamily:
         Level of k-wise independence (the polynomial degree is
         ``independence - 1``).  The paper's algorithms need 4.
     seed:
-        Seed for the coefficient-drawing RNG.  Two families built with
-        the same ``(count, independence, seed)`` are identical, which
-        is how k-TW signatures for *different relations* share their
-        eps mappings (Section 4.3); with an integer seed they share one
-        read-only coefficient matrix, too.
+        Seed for the coefficient-drawing RNG, an integer in [0, 2^63);
+        ``None`` draws one from OS entropy and records it.  Two families
+        built with the same ``(count, independence, seed)`` are
+        identical, which is how k-TW signatures for *different
+        relations* share their eps mappings (Section 4.3); with an
+        explicit seed they share one read-only coefficient matrix, too.
 
     Notes
     -----
@@ -131,7 +156,7 @@ class PolynomialHashFamily:
     of the same family).
     """
 
-    __slots__ = ("count", "independence", "seed", "_coeffs")
+    __slots__ = ("count", "independence", "seed", "_coeffs", "_digest")
 
     def __init__(self, count: int, independence: int = 4, seed: int | None = None):
         if count < 1:
@@ -140,12 +165,15 @@ class PolynomialHashFamily:
             raise ValueError(f"independence must be >= 1, got {independence}")
         self.count = int(count)
         self.independence = int(independence)
-        self.seed = seed
-        key = _seed_key(seed)
-        if key is None:
-            self._coeffs = _draw_coefficients(self.count, self.independence, seed)
+        # An entropy seed names a one-off family: it stays out of the
+        # shared cache so it cannot evict the families stores share.
+        if seed is None:
+            self.seed = secrets.randbelow(_INT64_LIMIT)
+            draw = _draw_family
         else:
-            self._coeffs = _shared_coefficients(self.count, self.independence, key)
+            self.seed = _check_seed(seed)
+            draw = _shared_family
+        self._coeffs, self._digest = draw(self.count, self.independence, self.seed)
 
     # ------------------------------------------------------------------
     # Evaluation
@@ -218,58 +246,76 @@ class PolynomialHashFamily:
         return view
 
     def to_dict(self) -> dict:
-        """Serialise the family to plain Python types."""
+        """Serialise the family as its seed triple plus the matrix digest."""
         return {
             "count": self.count,
             "independence": self.independence,
             "seed": self.seed,
-            "coefficients": self._coeffs.tolist(),
+            "digest": self._digest,
         }
 
     @classmethod
-    def from_dict(cls, payload: dict) -> "PolynomialHashFamily":
+    def from_dict(
+        cls,
+        payload: Mapping,
+        *,
+        count: int,
+        independence: Collection[int],
+    ) -> "PolynomialHashFamily":
         """Reconstruct a family from :meth:`to_dict` output.
 
-        Coefficients must be field elements in [0, p): a larger one
-        would overflow the uint64 products Horner's rule relies on.  A
-        payload whose coefficients are exactly its seed's draw reuses
-        the shared matrix instead of keeping its own copy.
+        The matrix is redrawn from the seed through the shared cache.
+        The payload's digest must equal the redraw's: numpy does not
+        promise a ``Generator`` stream stable across versions (NEP 19),
+        so a family written under another numpy may hash differently.
+        ``count`` and ``independence`` (the allowed levels) are what the
+        caller's counters need; they are checked before the draw, so a
+        payload of a few bytes cannot request an unbounded matrix.
+        Every refusal is a :class:`SketchPayloadError`, including a
+        payload that still carries the ``coefficients`` of the format
+        before families were named by seed.
         """
+        if not isinstance(payload, Mapping):
+            raise SketchPayloadError(
+                "hash family payload must be a mapping, got "
+                f"{type(payload).__name__}"
+            )
+        if "coefficients" in payload:
+            raise SketchPayloadError(
+                "hash family payload carries 'coefficients', the format "
+                "before families were named by seed; rebuild the sketch "
+                "from the stream"
+            )
+        size = _payload_int(payload, "count", 1)
+        level = _payload_int(payload, "independence", 1)
+        seed = _payload_int(payload, "seed", 0)
+        digest = _payload_int(payload, "digest", -_INT64_LIMIT)
+        if size != count:
+            raise SketchPayloadError(
+                f"corrupt hash family payload: {size} functions, "
+                f"expected {count}"
+            )
+        if level not in independence:
+            raise SketchPayloadError(
+                f"corrupt hash family payload: independence {level}, "
+                f"expected one of {sorted(independence)}"
+            )
         family = cls.__new__(cls)
-        family.count = int(payload["count"])
-        family.independence = int(payload["independence"])
-        family.seed = payload.get("seed")
-        coeffs = np.asarray(payload["coefficients"], dtype=np.int64)
-        if coeffs.shape != (family.count, family.independence):
-            raise ValueError(
-                "coefficient matrix has shape "
-                f"{coeffs.shape}, expected {(family.count, family.independence)}"
+        family.count, family.independence, family.seed = size, level, seed
+        family._coeffs, family._digest = _shared_family(size, level, seed)
+        if digest != family._digest:
+            raise SketchPayloadError(
+                f"corrupt hash family payload: digest {digest} does not "
+                f"match seed {seed}'s draw {family._digest}, or it was "
+                "written under a numpy whose random stream differs"
             )
-        if coeffs.size and (coeffs.min() < 0 or coeffs.max() >= MERSENNE_PRIME_31):
-            raise ValueError(
-                f"coefficients must lie in [0, {MERSENNE_PRIME_31}), got "
-                f"[{coeffs.min()}, {coeffs.max()}]"
-            )
-        key = _seed_key(family.seed)
-        if key is not None:
-            shared = _shared_coefficients(family.count, family.independence, key)
-            if np.array_equal(coeffs, shared):
-                family._coeffs = shared
-                return family
-        family._coeffs = coeffs.astype(np.uint64)
-        family._coeffs.flags.writeable = False
         return family
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, PolynomialHashFamily):
             return NotImplemented
-        return (
-            self.count == other.count
-            and self.independence == other.independence
-            and (
-                self._coeffs is other._coeffs
-                or np.array_equal(self._coeffs, other._coeffs)
-            )
+        return (self.count, self.independence, self.seed) == (
+            other.count, other.independence, other.seed
         )
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
@@ -306,8 +352,9 @@ class SignHashFamily:
         return self._family.independence
 
     @property
-    def seed(self) -> int | None:
-        """Seed the family was built from (None if reconstructed)."""
+    def seed(self) -> int:
+        """Seed the family was built from (drawn from OS entropy if none
+        was given)."""
         return self._family.seed
 
     @property
@@ -334,12 +381,23 @@ class SignHashFamily:
         return {"kind": "sign", "family": self._family.to_dict()}
 
     @classmethod
-    def from_dict(cls, payload: dict) -> "SignHashFamily":
-        """Reconstruct from :meth:`to_dict` output."""
-        if payload.get("kind") != "sign":
-            raise ValueError(f"not a SignHashFamily payload: {payload.get('kind')!r}")
+    def from_dict(
+        cls,
+        payload: Mapping,
+        *,
+        count: int,
+        independence: Collection[int],
+    ) -> "SignHashFamily":
+        """Reconstruct from :meth:`to_dict` output; ``count`` and
+        ``independence`` bound the family as in
+        :meth:`PolynomialHashFamily.from_dict`."""
+        kind = payload.get("kind") if isinstance(payload, Mapping) else None
+        if kind != "sign":
+            raise ValueError(f"not a SignHashFamily payload: {kind!r}")
         obj = cls.__new__(cls)
-        obj._family = PolynomialHashFamily.from_dict(payload["family"])
+        obj._family = PolynomialHashFamily.from_dict(
+            payload["family"], count=count, independence=independence
+        )
         return obj
 
     def __eq__(self, other: object) -> bool:

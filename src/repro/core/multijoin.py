@@ -169,10 +169,11 @@ class MultiJoinFamily:
 
     Examples
     --------
+    >>> relations = [[1, 1, 2], [1, 2, 2], [1, 2]]
     >>> fam = MultiJoinFamily(k=4096, ways=3, seed=0)
     >>> sigs = [fam.signature(j) for j in range(3)]
     >>> for sig, rel in zip(sigs, relations): sig.update_from_stream(rel)
-    >>> est = fam.join_estimate(sigs)       # ~ |R0 ⋈ R1 ⋈ R2|
+    >>> est = fam.join_estimate(sigs)   # ~ |R0 ⋈ R1 ⋈ R2| = 2 + 2 = 4
     """
 
     def __init__(self, k: int, ways: int, seed: int | None = None):

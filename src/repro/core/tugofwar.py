@@ -49,6 +49,11 @@ __all__ = ["TugOfWarSketch"]
 #: slower than this width on memory-bandwidth-bound hosts).
 _BATCH_CHUNK = 1024
 
+#: Highest sign-family independence a sketch accepts: 4 is what the
+#: variance analysis needs, and the hashing ablation uses 2.  A payload
+#: asking for more is refused before its matrix is drawn.
+MAX_INDEPENDENCE = 4
+
 
 @register_sketch
 class TugOfWarSketch(Sketch):
@@ -67,9 +72,9 @@ class TugOfWarSketch(Sketch):
         must be merged or joined against each other **must** share a
         seed (checked at merge/join time via the family itself).
     independence:
-        k-wise independence of the sign family; 4 (the default) is what
-        the variance analysis requires.  Exposed for the 2-wise
-        ablation benchmark.
+        k-wise independence of the sign family, at most
+        :data:`MAX_INDEPENDENCE`; 4 (the default) is what the variance
+        analysis requires.  Exposed for the 2-wise ablation benchmark.
 
     Examples
     --------
@@ -96,6 +101,11 @@ class TugOfWarSketch(Sketch):
         seed: int | None = None,
         independence: int = 4,
     ):
+        if not 1 <= independence <= MAX_INDEPENDENCE:
+            raise ValueError(
+                f"independence must lie in [1, {MAX_INDEPENDENCE}], "
+                f"got {independence}"
+            )
         self.s1, self.s2 = group_shape_for(s1, s2)
         self._signs = SignHashFamily(
             self.s1 * self.s2, seed=seed, independence=independence
@@ -310,7 +320,11 @@ class TugOfWarSketch(Sketch):
                 f"counter vector has shape {sketch._z.shape}, "
                 f"expected ({sketch.s1 * sketch.s2},)"
             )
-        sketch._signs = SignHashFamily.from_dict(payload["signs"])
+        sketch._signs = SignHashFamily.from_dict(
+            payload["signs"],
+            count=sketch._z.size,
+            independence=range(1, MAX_INDEPENDENCE + 1),
+        )
         return sketch
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic

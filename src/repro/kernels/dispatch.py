@@ -253,6 +253,29 @@ def _check_state(state: np.ndarray, dtype, name: str) -> np.ndarray:
     return state
 
 
+def _check_z(z: np.ndarray, cf: np.ndarray) -> None:
+    """``z`` must be one writable int64 counter per coefficient row: the
+    compiled kernels index it by row without a bound check."""
+    _check_state(z, np.int64, "z")
+    if z.shape != (cf.shape[0],):
+        raise ValueError(f"z must have shape ({cf.shape[0]},), got {z.shape}")
+
+
+def _check_counters(counters: np.ndarray, cf: np.ndarray, k) -> int:
+    """``counters`` must be a writable int64 ``(rows, k)`` matrix, k >= 1,
+    for the same reason as :func:`_check_z`; returns ``k`` as an int."""
+    k = int(k)
+    if k < 1:
+        raise ValueError(f"k must be >= 1, got {k}")
+    _check_state(counters, np.int64, "counters")
+    if counters.shape != (cf.shape[0], k):
+        raise ValueError(
+            f"counters must have shape ({cf.shape[0]}, {k}), "
+            f"got {counters.shape}"
+        )
+    return k
+
+
 def _check_scalar_value(value) -> int:
     v = int(value)
     if not 0 <= v < MERSENNE_PRIME_31:
@@ -280,9 +303,7 @@ def tugofwar_scatter(coeffs, values, counts, z: np.ndarray) -> None:
     """
     cf = _as_coeffs(coeffs)
     vals = _as_domain_values(values)
-    _check_state(z, np.int64, "z")
-    if z.shape != (cf.shape[0],):
-        raise ValueError(f"z must have shape ({cf.shape[0]},), got {z.shape}")
+    _check_z(z, cf)
     if vals.size == 0:
         return
     cnts = _as_counts(counts, vals.size)
@@ -297,7 +318,7 @@ def tugofwar_update_one(coeffs, value, count, z: np.ndarray) -> None:
     """
     v = _check_scalar_value(value)
     cf = _as_coeffs(coeffs)
-    _check_state(z, np.int64, "z")
+    _check_z(z, cf)
     backend = get_backend()
     fn = getattr(backend, "tugofwar_update_one", None)
     if fn is not None:
@@ -319,15 +340,7 @@ def fk_scatter(coeffs, values, counts, counters: np.ndarray, k: int) -> None:
     """
     cf = _as_coeffs(coeffs)
     vals = _as_domain_values(values)
-    k = int(k)
-    if k < 1:
-        raise ValueError(f"k must be >= 1, got {k}")
-    _check_state(counters, np.int64, "counters")
-    if counters.shape != (cf.shape[0], k):
-        raise ValueError(
-            f"counters must have shape ({cf.shape[0]}, {k}), "
-            f"got {counters.shape}"
-        )
+    k = _check_counters(counters, cf, k)
     if vals.size == 0:
         return
     cnts = _as_counts(counts, vals.size)
@@ -338,8 +351,7 @@ def fk_update_one(coeffs, value, count, counters: np.ndarray, k: int) -> None:
     """Scalar F_k update: bump one digit counter per slot, fused."""
     v = _check_scalar_value(value)
     cf = _as_coeffs(coeffs)
-    k = int(k)
-    _check_state(counters, np.int64, "counters")
+    k = _check_counters(counters, cf, k)
     backend = get_backend()
     fn = getattr(backend, "fk_update_one", None)
     if fn is not None:

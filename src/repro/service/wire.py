@@ -7,15 +7,15 @@ way in, at every hop.  This module defines the binary twin: fixed
 ``struct``-packed frame headers, batched ingest carried as packed
 little-endian int64 arrays decoded zero-copy with ``np.frombuffer``,
 and a compact msgpack-style encoding for control payloads and
-responses, whose integer columns (a sketch's counters and hash
-coefficients) travel packed rather than one tagged object per value.
+responses, whose integer columns (a sketch's counters) travel packed
+rather than one tagged object per value.
 
 Frame layout (all integers little-endian)::
 
     offset  size  field
     0       2     magic    0xAB 0x52  (0xAB can never start UTF-8 JSON,
                                        so one port can sniff both)
-    2       1     version  protocol version (currently 2)
+    2       1     version  protocol version (currently 3)
     3       1     opcode   operation (see OP_*)
     4       2     flags    bit 0: response, bit 1: error response
     6       4     length   payload bytes that follow the header
@@ -47,13 +47,16 @@ the batch is keyed.
 
 Version negotiation: a client may open with :data:`OP_HELLO` carrying
 ``{"versions": [...]}``; the server answers with the highest version
-both sides speak or an error frame when there is none.  The header
-layout itself is version-invariant — magic, version, opcode, flags,
-length always parse — so a version-skewed peer gets a readable error
-frame instead of a dropped connection.  Sniffing rule (one port, both
-protocols): a connection whose first byte is ``0xAB`` is binary;
-anything else is treated as a line-JSON conversation (``{`` in the
-common case).
+both sides speak or an error frame when there is none.  Version 3 is
+the only version: version 2 sketch payloads shipped every hash
+coefficient, version 3 ones name the family by seed and digest, so a
+version-2 peer is refused at its first frame rather than mid-payload.
+The header layout itself is version-invariant — magic, version,
+opcode, flags, length always parse — so a version-skewed peer gets a
+readable error frame instead of a dropped connection.  Sniffing rule
+(one port, both protocols): a connection whose first byte is ``0xAB``
+is binary; anything else is treated as a line-JSON conversation
+(``{`` in the common case).
 
 Size guard: frames above ``max_frame_bytes`` (default 64 MiB) raise
 :class:`FrameTooLargeError` before any allocation, so a corrupt or
@@ -108,8 +111,8 @@ __all__ = [
 ]
 
 MAGIC = b"\xabR"
-WIRE_VERSION = 2
-SUPPORTED_VERSIONS = (2,)
+WIRE_VERSION = 3
+SUPPORTED_VERSIONS = (3,)
 
 HEADER = struct.Struct("<2sBBHI")
 HEADER_SIZE = HEADER.size  # 10 bytes
@@ -275,9 +278,8 @@ class FrameDecoder:
 # (this codec only ever talks to itself across the wire).
 #
 # One tag has no msgpack twin: _PACKED carries an integer column — a
-# sketch's counters, its hash coefficients, a frequency vector's
-# [value, count] pairs — as raw machine integers instead of one tagged
-# object per element:
+# sketch's counters, a frequency vector's [value, count] pairs — as raw
+# machine integers instead of one tagged object per element:
 #
 #     size  field
 #     1     0xC7

@@ -2,12 +2,15 @@
 
 from __future__ import annotations
 
+import json
 import sys
 import threading
 
 import numpy as np
 import pytest
 
+from repro import kernels
+from repro.cli import main
 from repro.core import hashing
 from repro.core.distinct import DistinctCountSketch
 from repro.core.fkmoments import FkMomentSketch
@@ -18,7 +21,9 @@ from repro.core.hashing import (
 )
 from repro.core.tugofwar import TugOfWarSketch
 from repro.engine import SketchPayloadError, load_sketch
-from repro.store import SketchSpec
+from repro.service import SketchService
+from repro.service.surface import handle_request_mapping
+from repro.store import KeyedSketchStore, SketchSpec, WindowedSketchStore
 
 
 class TestPolynomialHashFamily:
@@ -93,15 +98,20 @@ class TestPolynomialHashFamily:
 
     def test_roundtrip_serialisation(self):
         fam = PolynomialHashFamily(count=5, seed=7)
-        clone = PolynomialHashFamily.from_dict(fam.to_dict())
+        clone = PolynomialHashFamily.from_dict(
+            fam.to_dict(), count=5, independence=(4,))
         assert clone == fam
         assert np.array_equal(clone.hash_many(np.arange(20)), fam.hash_many(np.arange(20)))
 
     def test_from_dict_validates_shape(self):
         payload = PolynomialHashFamily(count=2, seed=0).to_dict()
         payload["count"] = 3
-        with pytest.raises(ValueError, match="shape"):
-            PolynomialHashFamily.from_dict(payload)
+        # The caller's expected shape is checked first; where it allows
+        # 3 rows, the 3-row draw of seed 0 does not match the 2-row digest.
+        with pytest.raises(SketchPayloadError, match="3 functions, expected 2"):
+            PolynomialHashFamily.from_dict(payload, count=2, independence=(4,))
+        with pytest.raises(SketchPayloadError, match="digest"):
+            PolynomialHashFamily.from_dict(payload, count=3, independence=(4,))
 
     def test_coefficients_read_only(self):
         fam = PolynomialHashFamily(count=2, seed=0)
@@ -167,13 +177,13 @@ class TestSignHashFamily:
 
     def test_roundtrip_serialisation(self):
         fam = SignHashFamily(count=6, seed=9)
-        clone = SignHashFamily.from_dict(fam.to_dict())
+        clone = SignHashFamily.from_dict(fam.to_dict(), count=6, independence=(4,))
         assert clone == fam
         assert np.array_equal(clone.signs_many(np.arange(40)), fam.signs_many(np.arange(40)))
 
     def test_from_dict_rejects_wrong_kind(self):
         with pytest.raises(ValueError, match="payload"):
-            SignHashFamily.from_dict({"kind": "other"})
+            SignHashFamily.from_dict({"kind": "other"}, count=1, independence=(4,))
 
     def test_count_property(self):
         assert SignHashFamily(count=12, seed=0).count == 12
@@ -210,33 +220,42 @@ class TestSharedFamily:
         assert _matrix(loaded) is _matrix(built)
         np.testing.assert_array_equal(loaded.counters, built.counters)
 
-    def test_changed_coefficient_keeps_own_matrix(self):
+    def test_changed_seed_is_another_family(self):
         built = self.SPEC.build()
+        other = SketchSpec("tugofwar", {"s1": 16, "s2": 3, "seed": 1415}).build()
         payload = built.to_dict()
-        row = payload["signs"]["family"]["coefficients"][0]
-        row[0] = (row[0] + 1) % MERSENNE_PRIME_31
+        payload["signs"] = other.to_dict()["signs"]
         loaded = load_sketch(payload)
+        assert _matrix(loaded) is _matrix(other)
         assert _matrix(loaded) is not _matrix(built)
-        assert not _matrix(loaded).flags.writeable
         assert loaded.to_dict()["signs"] == payload["signs"]
         assert loaded._signs != built._signs
         with pytest.raises(ValueError, match="different hash families"):
             built.merge(loaded)
+
+    def test_changed_digest_refused(self):
+        payload = self.SPEC.build().to_dict()
+        payload["signs"]["family"]["digest"] += 1
+        with pytest.raises(SketchPayloadError, match="digest"):
+            load_sketch(payload)
 
     def test_unseeded_families_differ(self):
         a, b = PolynomialHashFamily(count=8), PolynomialHashFamily(count=8)
         assert a != b
         assert a.coefficients.base is not b.coefficients.base
 
-    def test_equality_short_circuits_on_shared_matrix(self, monkeypatch):
-        a = PolynomialHashFamily(count=4, seed=3)
-        b = PolynomialHashFamily(count=4, seed=3)
-
-        def elementwise(*args):
-            pytest.fail("families sharing one matrix compared elementwise")
-
-        monkeypatch.setattr(hashing.np, "array_equal", elementwise)
-        assert a == b
+    def test_equality_is_by_seed_triple(self):
+        # An unseeded family draws its own matrix outside the cache; the
+        # same seed given explicitly loads the shared one.
+        own = PolynomialHashFamily(count=4)
+        shared = PolynomialHashFamily(count=4, seed=own.seed)
+        assert own.coefficients.base is not shared.coefficients.base
+        assert own == shared
+        other_seed = (own.seed + 1) % 2**63
+        assert PolynomialHashFamily(count=4, seed=other_seed) != own
+        assert PolynomialHashFamily(count=5, seed=own.seed) != own
+        assert PolynomialHashFamily(
+            count=4, independence=2, seed=own.seed) != own
 
     def test_numpy_integer_seed_shares_the_int_draw(self):
         a = PolynomialHashFamily(count=4, seed=21)
@@ -246,7 +265,7 @@ class TestSharedFamily:
     def test_cache_is_bounded(self):
         for seed in range(2 * hashing._SHARED_FAMILIES):
             PolynomialHashFamily(count=1, seed=10_000 + seed)
-        info = hashing._shared_coefficients.cache_info()
+        info = hashing._shared_family.cache_info()
         assert info.maxsize == hashing._SHARED_FAMILIES
         assert info.currsize <= info.maxsize
 
@@ -283,41 +302,116 @@ class TestSharedFamily:
         assert wrong == []
 
 
+#: One sketch of each kind that hashes with a family, and the path to
+#: that family in its payload.
+FAMILY_KINDS = pytest.mark.parametrize("sketch, field", [
+    (TugOfWarSketch(8, 2, seed=5), ("signs", "family")),
+    (FkMomentSketch(k=3, s1=8, s2=2, seed=5), ("digits",)),
+    (DistinctCountSketch(8, 2, seed=5), ("buckets",)),
+], ids=["tugofwar", "fk_moments", "f0"])
+
+
 class TestCorruptHashPayloads:
-    """Out-of-field coefficients and out-of-range counters are refused
-    with the typed payload error, never loaded or leaked as a bare
-    ``OverflowError``."""
+    """A family payload is its seed triple plus a digest.  A corrupt
+    field or a shape the counters cannot use is refused with the typed
+    payload error, never loaded or leaked as a bare ``OverflowError``."""
 
-    @pytest.mark.parametrize("coefficient", [
-        2**40, MERSENNE_PRIME_31, -1, 2**63, 2**64,
-    ])
-    def test_out_of_field_coefficient_refused(self, coefficient):
+    @pytest.mark.parametrize("seed", [-1, True, 2.5, 2**63, "5", None])
+    def test_corrupt_seed_refused(self, seed):
         payload = TugOfWarSketch(8, 2, seed=5).to_dict()
-        payload["signs"]["family"]["coefficients"][0][0] = coefficient
-        with pytest.raises(SketchPayloadError):
+        payload["signs"]["family"]["seed"] = seed
+        with pytest.raises(SketchPayloadError, match="'seed' must be"):
             load_sketch(payload)
 
-    @pytest.mark.parametrize("sketch, field", [
-        (FkMomentSketch(k=3, s1=8, s2=2, seed=5), "digits"),
-        (DistinctCountSketch(8, 2, seed=5), "buckets"),
-    ])
-    def test_other_kinds_refuse_out_of_field_coefficients(self, sketch, field):
+    @pytest.mark.parametrize("field", ["count", "independence", "digest"])
+    @pytest.mark.parametrize("value", [True, 2.5, 2**63, None])
+    def test_corrupt_integer_field_refused(self, field, value):
+        payload = PolynomialHashFamily(count=2, seed=0).to_dict()
+        payload[field] = value
+        with pytest.raises(SketchPayloadError, match=f"'{field}' must be"):
+            PolynomialHashFamily.from_dict(payload, count=2, independence=(4,))
+
+    @FAMILY_KINDS
+    def test_non_mapping_family_refused(self, sketch, field):
+        # Each mapping on the path to the family, replaced by a list.
+        for depth in range(len(field)):
+            payload = sketch.to_dict()
+            _family_payload(payload, field[:depth])[field[depth]] = [1, 2]
+            with pytest.raises(SketchPayloadError):
+                load_sketch(payload)
+
+    @FAMILY_KINDS
+    def test_count_mismatch_refused(self, sketch, field):
         payload = sketch.to_dict()
-        payload[field]["coefficients"][-1][-1] = 2**40
-        with pytest.raises(SketchPayloadError, match="coefficients must lie"):
+        family = _family_payload(payload, field)
+        # A family of another row count, with that family's own digest.
+        family.update(PolynomialHashFamily(
+            family["count"] + 1, family["independence"], seed=5).to_dict())
+        with pytest.raises(SketchPayloadError, match="functions, expected"):
             load_sketch(payload)
 
-    def test_from_dict_refuses_with_value_error(self):
-        payload = PolynomialHashFamily(count=2, seed=0).to_dict()
-        payload["coefficients"][1][3] = 2**40
-        with pytest.raises(ValueError, match="coefficients must lie in"):
-            PolynomialHashFamily.from_dict(payload)
+    @pytest.mark.parametrize("sketch, field, independence", [
+        (TugOfWarSketch(8, 2, seed=5), ("signs", "family"), 5),
+        (FkMomentSketch(k=3, s1=8, s2=2, seed=5), ("digits",), 3),
+        (FkMomentSketch(k=6, s1=8, s2=2, seed=5), ("digits",), 4),
+        (DistinctCountSketch(8, 2, seed=5), ("buckets",), 2),
+    ], ids=["tugofwar-5", "fk3-3", "fk6-4", "f0-2"])
+    def test_independence_mismatch_refused(self, sketch, field, independence):
+        payload = sketch.to_dict()
+        family = _family_payload(payload, field)
+        family.update(PolynomialHashFamily(
+            family["count"], independence, seed=5).to_dict())
+        with pytest.raises(SketchPayloadError, match="independence"):
+            load_sketch(payload)
 
-    def test_largest_field_element_accepted(self):
+    def test_two_wise_tugofwar_accepted(self):
+        sketch = TugOfWarSketch(8, 2, seed=5, independence=2)
+        assert load_sketch(sketch.to_dict())._signs == sketch._signs
+
+    def test_digest_off_by_one_refused(self):
         payload = PolynomialHashFamily(count=2, seed=0).to_dict()
-        payload["coefficients"][0] = [MERSENNE_PRIME_31 - 1, 0, 0, 0]
-        family = PolynomialHashFamily.from_dict(payload)
-        assert family.coefficients[0, 0] == MERSENNE_PRIME_31 - 1
+        payload["digest"] -= 1
+        with pytest.raises(SketchPayloadError, match="does not match"):
+            PolynomialHashFamily.from_dict(payload, count=2, independence=(4,))
+
+    def test_largest_seed_accepted(self):
+        family = PolynomialHashFamily(count=2, seed=2**63 - 1)
+        clone = PolynomialHashFamily.from_dict(
+            family.to_dict(), count=2, independence=(4,))
+        assert clone.seed == 2**63 - 1
+        np.testing.assert_array_equal(clone.coefficients, family.coefficients)
+
+    @FAMILY_KINDS
+    def test_shape_checked_before_the_draw(self, sketch, field, monkeypatch):
+        # A few bytes of seed payload must not request a 10^12-row matrix.
+        payload = sketch.to_dict()
+        _family_payload(payload, field)["count"] = 10**12
+
+        def draw(*args):
+            pytest.fail(f"family drawn before its shape was checked: {args}")
+
+        monkeypatch.setattr(hashing, "_shared_family", draw)
+        with pytest.raises(SketchPayloadError, match="expected"):
+            load_sketch(payload)
+
+    @pytest.mark.parametrize("cls", [PolynomialHashFamily, SignHashFamily])
+    def test_family_bounds_are_required(self, cls, monkeypatch):
+        # The caller must say what its counters can use: there is no
+        # unbounded form that would draw whatever a payload names.
+        payload = {"count": 10**12, "independence": 4, "seed": 0, "digest": 0}
+        if cls is SignHashFamily:
+            payload = {"kind": "sign", "family": payload}
+
+        def draw(*args):
+            pytest.fail(f"family drawn before its shape was checked: {args}")
+
+        monkeypatch.setattr(hashing, "_shared_family", draw)
+        with pytest.raises(TypeError):
+            cls.from_dict(payload)
+        with pytest.raises(TypeError):
+            cls.from_dict(payload, count=8)
+        with pytest.raises(SketchPayloadError, match="functions, expected 8"):
+            cls.from_dict(payload, count=8, independence=(4,))
 
     @pytest.mark.parametrize("counter", [2**63, -(2**63) - 1])
     def test_counter_beyond_int64_refused(self, counter):
@@ -325,3 +419,130 @@ class TestCorruptHashPayloads:
         payload["z"][0] = counter
         with pytest.raises(SketchPayloadError):
             load_sketch(payload)
+
+
+def _family_payload(payload: dict, path: tuple) -> dict:
+    """The nested family mapping of a sketch payload."""
+    for name in path:
+        payload = payload[name]
+    return payload
+
+
+class TestSeedNamedPayload:
+    """A family is named in a payload by ``(count, independence, seed)``
+    and the digest of the matrix that triple draws."""
+
+    @FAMILY_KINDS
+    def test_payload_names_family_by_seed(self, sketch, field):
+        payload = sketch.to_dict()
+        family = _family_payload(payload, field)
+        assert sorted(family) == ["count", "digest", "independence", "seed"]
+        assert "coefficients" not in json.dumps(payload)
+        assert load_sketch(payload).to_dict() == payload
+
+    def test_unseeded_family_records_its_seed(self):
+        family = PolynomialHashFamily(count=3)
+        assert type(family.seed) is int and 0 <= family.seed < 2**63
+        clone = PolynomialHashFamily.from_dict(
+            family.to_dict(), count=3, independence=(4,))
+        assert clone == family
+        np.testing.assert_array_equal(clone.coefficients, family.coefficients)
+
+    @pytest.mark.parametrize("seed", [-1, True, 2**63, 2.5, "5"])
+    def test_constructor_refuses_seed_a_payload_cannot_name(self, seed):
+        with pytest.raises(ValueError, match="seed must be an integer"):
+            PolynomialHashFamily(count=2, seed=seed)
+
+    def test_digest_computed_once_per_cached_family(self, monkeypatch):
+        first = PolynomialHashFamily(count=5, seed=31_337)
+
+        def rehash(*args, **kwargs):
+            pytest.fail("digest recomputed for a cached family")
+
+        monkeypatch.setattr(hashing.hashlib, "blake2b", rehash)
+        again = PolynomialHashFamily(count=5, seed=31_337)
+        loaded = PolynomialHashFamily.from_dict(
+            first.to_dict(), count=5, independence=(4,))
+        assert again.to_dict() == loaded.to_dict() == first.to_dict()
+
+    @pytest.mark.parametrize("backend", kernels.available_backends())
+    def test_oversized_family_refused_on_every_backend(self, backend):
+        # A 320-row family over 8 counters once loaded, and a scalar
+        # insert on it wrote past the counter buffer under cffi.
+        prior = kernels.active_backend()
+        kernels.set_backend(backend)
+        try:
+            payload = TugOfWarSketch(8, 1, seed=5).to_dict()
+            payload["signs"] = TugOfWarSketch(64, 5, seed=5).to_dict()["signs"]
+            with pytest.raises(SketchPayloadError, match="320 functions"):
+                load_sketch(payload)
+            payload = FkMomentSketch(k=3, s1=8, s2=1, seed=5).to_dict()
+            payload["digits"] = FkMomentSketch(
+                k=3, s1=64, s2=5, seed=5).to_dict()["digits"]
+            with pytest.raises(SketchPayloadError, match="320 functions"):
+                load_sketch(payload)
+        finally:
+            kernels.set_backend(prior)
+
+
+def _pre_seed_format(payload):
+    """``payload`` as written before families were named by seed: every
+    family mapping carries its coefficient matrix instead of a digest."""
+    if isinstance(payload, list):
+        return [_pre_seed_format(item) for item in payload]
+    if not isinstance(payload, dict):
+        return payload
+    if "digest" in payload:
+        family = PolynomialHashFamily(
+            payload["count"], payload["independence"], seed=payload["seed"])
+        return {"count": family.count, "independence": family.independence,
+                "seed": family.seed,
+                "coefficients": family.coefficients.tolist()}
+    return {key: _pre_seed_format(value) for key, value in payload.items()}
+
+
+class TestPreSeedPayloadRefusal:
+    """Payloads written before families were named by seed carry the
+    whole coefficient matrix.  They get a typed refusal on every load
+    path, with no migration."""
+
+    SPEC = SketchSpec("tugofwar", {"s1": 16, "s2": 3, "seed": 1414})
+
+    def _store(self) -> WindowedSketchStore:
+        store = WindowedSketchStore(self.SPEC, bucket_width=10)
+        store.ingest(np.arange(40) % 30, np.arange(40))
+        return store
+
+    @FAMILY_KINDS
+    def test_load_sketch(self, sketch, field):
+        with pytest.raises(SketchPayloadError, match="rebuild the sketch"):
+            load_sketch(_pre_seed_format(sketch.to_dict()))
+
+    def test_windowed_store_from_dict(self):
+        legacy = _pre_seed_format(self._store().to_dict())
+        with pytest.raises(SketchPayloadError, match="rebuild the sketch"):
+            WindowedSketchStore.from_dict(legacy)
+
+    def test_keyed_store_from_dict(self):
+        fleet = KeyedSketchStore(self.SPEC, bucket_width=10)
+        fleet.ingest("a", [1, 12], [3, 4])
+        legacy = _pre_seed_format(fleet.to_dict())
+        with pytest.raises(SketchPayloadError, match="rebuild the sketch"):
+            KeyedSketchStore.from_dict(legacy)
+
+    def test_service_restore_op(self):
+        service = SketchService(WindowedSketchStore(self.SPEC, bucket_width=10))
+        legacy = _pre_seed_format(self._store().to_dict())
+        response = handle_request_mapping(
+            service, {"op": "restore", "snapshot": legacy})
+        assert response["ok"] is False
+        assert "rebuild the sketch" in response["error"]
+        assert service.info()["spans"] == []
+
+    def test_sketch_info_cli(self, tmp_path, capsys):
+        path = tmp_path / "legacy.json"
+        path.write_text(json.dumps(_pre_seed_format(
+            TugOfWarSketch(8, 2, seed=5).to_dict())))
+        assert main(["sketch", "info", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert "rebuild the sketch" in err and "Traceback" not in err

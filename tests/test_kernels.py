@@ -304,6 +304,43 @@ def test_out_of_domain_values_rejected(restore_backend):
         )
 
 
+@pytest.mark.parametrize("backend", kernels.available_backends())
+def test_scalar_update_refuses_state_of_another_shape(backend):
+    """The scalar dispatchers check the state shape, as the scatters do.
+
+    Without the check a 320-row family over 8 counters wrote past the
+    counter buffer under cffi, so this runs in a subprocess: a missing
+    check fails the test with the child's exit, not the whole suite.
+    """
+    out = _run_py(
+        "import numpy as np\n"
+        "from repro import kernels\n"
+        "from repro.core.hashing import PolynomialHashFamily\n"
+        f"kernels.set_backend({backend!r})\n"
+        "cf = PolynomialHashFamily(320, 4, seed=5).coefficients\n"
+        "calls = [\n"
+        "    lambda: kernels.tugofwar_update_one(\n"
+        "        cf, 7, 1, np.zeros(8, dtype=np.int64)),\n"
+        "    lambda: kernels.fk_update_one(\n"
+        "        cf, 7, 1, np.zeros((8, 3), dtype=np.int64), 3),\n"
+        "    lambda: kernels.fk_update_one(\n"
+        "        cf, 7, 1, np.zeros((320, 0), dtype=np.int64), 0),\n"
+        "]\n"
+        "for call in calls:\n"
+        "    try:\n"
+        "        call()\n"
+        "    except ValueError as exc:\n"
+        "        print('refused:', exc)\n"
+        "    else:\n"
+        "        print('accepted')\n"
+    )
+    lines = out.strip().splitlines()
+    assert len(lines) == 3
+    assert "must have shape (320,)" in lines[0]
+    assert "must have shape (320, 3)" in lines[1]
+    assert "k must be >= 1" in lines[2]
+
+
 def test_empty_batch_is_a_noop(restore_backend):
     coeffs = _coeffs(8, 4, seed=1)
     z = np.zeros(8, dtype=np.int64)

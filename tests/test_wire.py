@@ -216,6 +216,26 @@ class TestCompactCodec:
         assert repr(decoded) == repr(json_round_trip(response))
 
 
+    def test_tugofwar_sketch_response_under_one_kib(self):
+        # 320 counters and a family named by seed: the 320x4 coefficient
+        # matrix no longer rides along (5,950 B when it did).
+        spec = SketchSpec("tugofwar", {"s1": 64, "s2": 5, "seed": 7})
+        service = SketchService(WindowedSketchStore(spec, bucket_width=100))
+        rng = np.random.default_rng(3)
+        service.ingest(np.zeros(20_000, dtype=np.int64),
+                       rng.zipf(1.3, size=20_000) % 100_000)
+        response, _ = handle_frame(
+            service, wire.WIRE_VERSION, wire.OP_SKETCH, 0,
+            wire.encode_compact({"from": 0, "until": 100}),
+        )
+        _, _, flags, payload = _parse_one(response)
+        assert not flags & wire.FLAG_ERROR
+        assert len(response) < 1024
+        sketch = wire.decode_compact(payload)["sketch"]
+        assert "coefficients" not in json.dumps(sketch)
+        assert load_sketch(sketch).n == 20_000
+
+
 # ----------------------------------------------------------------------
 # Ingest payload codec
 # ----------------------------------------------------------------------
@@ -440,20 +460,30 @@ class TestHandleFrame:
     def test_version_1_peer_gets_typed_refusal(self):
         # Version 1 had no packed-integer tag; its peer is refused by
         # version, before any payload could fail as an unknown tag.
-        assert wire.SUPPORTED_VERSIONS == (2,)
+        assert wire.SUPPORTED_VERSIONS == (3,)
+        self._assert_version_refused(1)
+
+    def test_version_2_peer_gets_typed_refusal(self):
+        # Version 2 sketch payloads shipped every hash coefficient; a
+        # version-3 side names families by seed, so a mixed-version
+        # fleet fails at its first frame.
+        self._assert_version_refused(2)
+
+    @staticmethod
+    def _assert_version_refused(version):
         request = wire.encode_compact({"from": 0, "until": 10})
         response, stopping = handle_frame(
-            make_service(), 1, wire.OP_SKETCH, 0, request
+            make_service(), version, wire.OP_SKETCH, 0, request
         )
         _, opcode, flags, payload = _parse_one(response)
         assert opcode == wire.OP_SKETCH
         assert flags == wire.FLAG_RESPONSE | wire.FLAG_ERROR
         error = wire.decode_compact(payload)
         assert error["ok"] is False
-        assert "unsupported protocol version 1" in error["error"]
+        assert f"unsupported protocol version {version}" in error["error"]
         assert not stopping
         with pytest.raises(wire.ProtocolVersionError, match="no shared"):
-            wire.hello_response({"versions": [1]})
+            wire.hello_response({"versions": [version]})
 
     def test_hello_negotiates_max_shared(self):
         response, _ = handle_frame(
