@@ -35,7 +35,7 @@ Measures, on one synthetic Zipf stream:
    curve is still measured and reported, but a wall-clock speedup bar
    is physically meaningless there, so it is skipped with a notice.
    The section additionally races the two wire protocols end to end:
-   batched ingest through an asyncio front end over a 2-shard fleet
+   batched ingest through a threaded front end over a 2-shard fleet
    in line-JSON vs the length-prefixed binary protocol (zero-copy
    packed columns, pipelined), with both fleets' estimates checked
    **bit-identical** against an in-process service;
@@ -566,12 +566,13 @@ def wire_section(args, n: int) -> tuple[list[str], dict]:
     """Section 8 (wire): line-JSON vs binary protocol, end to end.
 
     Each protocol drives an identical serving topology — a client
-    through an :class:`repro.service.EventLoopServer` front end,
-    scatter–gathering over a 2-shard :class:`repro.cluster.
-    LocalCluster` fleet — so every ingested value crosses the wire
-    twice (client→front, front→shard) in that protocol.  The stream is
-    weighted ingest — 17-digit keys over a dense 4096-value domain
-    plus a signed-count column — in batches timestamped at a single
+    through a :class:`repro.service.SketchServiceServer` front end
+    (the one ``repro serve`` runs), scatter–gathering over a 2-shard
+    :class:`repro.cluster.LocalCluster` fleet — so every ingested
+    value crosses the wire twice (client→front, front→shard) in that
+    protocol.  The stream is weighted ingest — 17-digit keys over a
+    dense 4096-value domain plus a signed-count column — in batches
+    timestamped at a single
     bucket (the arrival-batched common case the scalar-timestamp frame
     encodes in 8 bytes total): the shape where the line-JSON protocol
     pays decimal string encode + parse per value per column per hop
@@ -588,7 +589,7 @@ def wire_section(args, n: int) -> tuple[list[str], dict]:
     """
     from repro.cluster import ClusterService, LocalCluster, store_config
     from repro.cluster.client import ShardClient
-    from repro.service import EventLoopServer
+    from repro.service import SketchServiceServer
 
     failures: list[str] = []
     num_buckets = 4
@@ -630,7 +631,7 @@ def wire_section(args, n: int) -> tuple[list[str], dict]:
             config = store_config(WindowedSketchStore(spec, bucket_width=1))
             with LocalCluster(config, 2, protocol=protocol) as cluster, \
                     ClusterService(cluster.replica_clients()) as service:
-                front = EventLoopServer(
+                front = SketchServiceServer(
                     service, ("127.0.0.1", 0), read_timeout=600.0
                 )
                 thread = threading.Thread(

@@ -21,9 +21,9 @@ join-size estimates between relations.  The **service** layer
 :class:`SketchService` / :class:`CatalogService` add reader–writer
 snapshot isolation, a merged-window LRU cache with per-dirty-bucket
 invalidation, and request coalescing, and
-:class:`~repro.service.aserver.EventLoopServer` (the ``repro serve``
-command) serves it over TCP as line-delimited JSON or binary frames,
-chosen per connection.  The **cluster** layer
+:class:`~repro.service.server.SketchServiceServer` (the ``repro
+serve`` command) serves it over TCP as line-delimited JSON or binary
+frames, chosen per connection.  The **cluster** layer
 (:mod:`repro.cluster`) scales that out across processes:
 :class:`LocalCluster` spawns hash-partitioned shard workers and
 :class:`ClusterService` (``repro serve --shards N``) routes ingest by

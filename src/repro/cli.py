@@ -979,17 +979,18 @@ def _serve_front_kwargs(args) -> dict:
 def _serve_main(args) -> int:
     """The `serve` command: expose a store as an estimation service.
 
-    The front end is the asyncio :class:`~repro.service.aserver.
-    EventLoopServer`: line-JSON and binary-frame clients on one port
-    (``--protocol`` restricts it), pipelined connections, bounded
-    frames.  Without ``--shards`` the store file is loaded into one
+    The front end is the threaded :class:`~repro.service.server.
+    SketchServiceServer` every shard worker also runs: line-JSON and
+    binary-frame clients on one port (``--protocol`` restricts it),
+    pipelined connections, bounded frames and request lines.  Without
+    ``--shards`` the store file is loaded into one
     in-process :class:`~repro.service.service.SketchService`.  With
     ``--shards N`` the file is a *config template*: N shard worker
     processes are spawned on ephemeral ports, and the front end serves
     the same wire protocols through a scatter–gather
     :class:`~repro.cluster.service.ClusterService`.
     """
-    from .service import EventLoopServer, SketchService
+    from .service import SketchService, SketchServiceServer
     from .store import KeyedSketchStore
 
     store = _load_store_file(args.path)
@@ -1000,7 +1001,7 @@ def _serve_main(args) -> int:
 
     try:
         service = SketchService(store, cache_entries=args.cache_entries)
-        server = EventLoopServer(
+        server = SketchServiceServer(
             service,
             address=(args.host, args.port),
             max_requests=args.max_requests,
@@ -1047,7 +1048,7 @@ def _serve_cluster(args, store, read_timeout) -> int:
         ShardUnreachableError,
         store_config,
     )
-    from .service import EventLoopServer
+    from .service import SketchServiceServer
 
     if args.shards < 1:
         raise CliError(f"--shards must be >= 1, got {args.shards}")
@@ -1075,7 +1076,7 @@ def _serve_cluster(args, store, read_timeout) -> int:
             service = ClusterService(
                 cluster.replica_clients(), supervisor=cluster
             )
-            server = EventLoopServer(
+            server = SketchServiceServer(
                 service,
                 address=(args.host, args.port),
                 max_requests=args.max_requests,

@@ -24,13 +24,13 @@ layer that actually serves those estimates under concurrent load:
 * :mod:`~repro.service.wire` — the length-prefixed binary protocol:
   struct-packed frame headers, zero-copy packed ingest batches,
   compact control payloads, HELLO version negotiation.
-* :class:`~repro.service.server.SketchServiceServer` — threaded TCP
-  serving both line-JSON and binary frames on one port (first-byte
-  sniffing), errors surfaced as one-line ``{"ok": false, ...}``
-  responses or error frames.
-* :class:`~repro.service.aserver.EventLoopServer` — the asyncio front
-  end (the ``repro serve`` default): pipelined connections, bounded
-  read-ahead, write backpressure, same two protocols.
+* :class:`~repro.service.server.SketchServiceServer` — the one TCP
+  transport, behind ``repro serve`` and every shard worker: line-JSON
+  and binary frames on one port (first-byte sniffing), pipelined
+  connections answered in order, errors surfaced as one-line
+  ``{"ok": false, ...}`` responses or error frames.
+  :class:`~repro.service.aserver.EventLoopServer` is the same server
+  under the name the served-fleet benchmark times its front by.
 """
 
 from .aserver import EventLoopServer

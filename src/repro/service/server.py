@@ -28,15 +28,31 @@ leak to the client).  Supported operations (JSON spelling)::
     {"op": "shutdown"}                                # ack, then stop serving
 
 Dispatch lives in :mod:`repro.service.surface` — one table shared
-with the event-loop front end (:mod:`repro.service.aserver`), the
-shard worker, and the cluster facade, so this module contributes only
-transport: a ``ThreadingTCPServer``, one thread per connection, any
-number of requests per connection, correctness delegated to the
-service (snapshot isolation, merged-window caching, request
-coalescing).  Each connection carries a read timeout (default 300 s):
-a dead client that holds its socket open without ever sending a
-complete request has its handler thread reclaimed instead of pinned
-forever.  Ingested state lives in memory; snapshot the service
+with the shard worker and the cluster facade, so this module
+contributes only transport: a ``ThreadingTCPServer``, one thread per
+connection, and the thread that reads a request dispatches it and
+writes the answer.  A connection carries any number of requests and
+they are answered strictly in order, so a client may pipeline: write
+many requests before reading any response.  Correctness is delegated
+to the service (snapshot isolation, merged-window caching, request
+coalescing).  Every port, front or shard worker, gets the same
+protections:
+
+* ``TCP_NODELAY`` on each connection, so the answer to a pipelined
+  request is not held back by Nagle's algorithm until the client's
+  delayed ACK (~40 ms) releases the one before it;
+* a listen backlog of 128 connections (``socketserver`` defaults to 5,
+  and a burst of connects beyond that waits out SYN retransmits);
+* a binary frame above ``max_frame_bytes`` is refused before
+  allocation, its payload drained in chunks, and the connection keeps
+  serving;
+* a JSON request line longer than ``max(max_frame_bytes, 64 KiB)`` is
+  refused once and the connection closed;
+* a read timeout (default 300 s): a dead client that holds its socket
+  open without ever sending a complete request has its handler thread
+  reclaimed instead of pinned forever.
+
+Ingested state lives in memory; snapshot the service
 (``{"op": "snapshot"}`` over the wire, or :meth:`SketchService.
 snapshot` from the owning process) if durability is needed.
 """
@@ -49,7 +65,12 @@ import socketserver
 import threading
 
 from . import wire
-from .surface import handle_frame, handle_request, validate_service
+from .surface import (
+    _error_frame,
+    handle_frame,
+    handle_request,
+    validate_service,
+)
 
 __all__ = [
     "SketchServiceServer",
@@ -65,6 +86,18 @@ DEFAULT_READ_TIMEOUT = 300.0
 #: connection and accepts both).
 PROTOCOLS = ("auto", "json", "binary")
 
+#: Bytes drained per read when discarding an oversized frame's payload.
+_DRAIN_CHUNK = 1 << 20
+
+#: The header's length field is a u32: parsing the header against this
+#: bound never refuses, so the real size check can drain an oversized
+#: payload instead of leaving the stream unsynchronized.
+_ANY_LENGTH = 1 << 32
+
+
+def _json_line(response: dict) -> bytes:
+    return (json.dumps(response) + "\n").encode("utf-8")
+
 
 class _RequestHandler(socketserver.StreamRequestHandler):
     """One connection: sniff the protocol, then serve until hangup.
@@ -75,6 +108,11 @@ class _RequestHandler(socketserver.StreamRequestHandler):
     in a blocking read forever — so a stalled connection can never pin
     a thread past shutdown.
     """
+
+    # Every response leaves in one send call, so Nagle's algorithm has
+    # no small writes to coalesce; it would only hold a pipelined
+    # answer back until the peer's delayed ACK of the previous one.
+    disable_nagle_algorithm = True
 
     def setup(self) -> None:  # pragma: no cover - exercised over sockets
         if self.server.read_timeout is not None:
@@ -91,34 +129,24 @@ class _RequestHandler(socketserver.StreamRequestHandler):
         binary = first == wire.MAGIC[:1]
         allowed = self.server.protocol
         if binary and allowed == "json":
-            self._write(self._refusal_frame("line-JSON"))
+            self._write(_error_frame(
+                wire.OP_HELLO, "this port serves the line-JSON protocol only"
+            ))
             return
         if not binary and allowed == "binary":
-            self._write((json.dumps({
+            self._write(_json_line({
                 "ok": False,
                 "error": "this port serves the binary protocol only",
-            }) + "\n").encode("utf-8"))
+            }))
             return
         if binary:
             self._handle_binary()
         else:
             self._handle_json()
 
-    @staticmethod
-    def _refusal_frame(served: str) -> bytes:
-        return wire.pack_frame(
-            wire.OP_HELLO,
-            wire.encode_compact({
-                "ok": False,
-                "error": f"this port serves the {served} protocol only",
-            }),
-            flags=wire.FLAG_RESPONSE | wire.FLAG_ERROR,
-        )
-
     def _write(self, data: bytes) -> bool:
         try:
             self.wfile.write(data)
-            self.wfile.flush()
             return True
         except OSError:
             return False
@@ -133,20 +161,27 @@ class _RequestHandler(socketserver.StreamRequestHandler):
         return False
 
     def _handle_json(self) -> None:
+        limit = self.server.max_line_bytes
         while True:
             try:
-                raw = self.rfile.readline()
+                raw = self.rfile.readline(limit + 1)
             except (socket.timeout, TimeoutError, OSError):
                 return  # stalled or torn connection: reclaim the thread
             if not raw:
                 return  # orderly EOF
+            if len(raw) > limit and not raw.endswith(b"\n"):
+                # The rest of the line is still unread, so the stream
+                # cannot be resynchronized: answer once, then close.
+                self._write(_json_line({
+                    "ok": False,
+                    "error": f"request line exceeds the {limit}-byte limit",
+                }))
+                return
             line = raw.strip()
             if not line:
                 continue
             response = handle_request(self.server.service, line)
-            if not self._write(
-                (json.dumps(response) + "\n").encode("utf-8")
-            ):
+            if not self._write(_json_line(response)):
                 return
             stopping = bool(
                 response.get("ok") and response.get("op") == "shutdown"
@@ -158,36 +193,60 @@ class _RequestHandler(socketserver.StreamRequestHandler):
         limit = self.server.max_frame_bytes
         while True:
             try:
-                frame = wire.read_frame(self.rfile, limit)
+                header = self.rfile.read(wire.HEADER_SIZE)
+                if not header:
+                    return  # orderly EOF at a frame boundary
+                version, opcode, flags, length = wire.unpack_header(
+                    header, _ANY_LENGTH
+                )
+                if length > limit:
+                    # Refused without allocating; draining keeps the
+                    # connection frame-aligned, so it survives.
+                    self._drain(length)
+                    response = _error_frame(
+                        opcode,
+                        f"frame payload of {length} bytes exceeds the "
+                        f"{limit}-byte limit",
+                    )
+                    stopping = False
+                else:
+                    payload = self.rfile.read(length) if length else b""
+                    if len(payload) != length:
+                        raise wire.FrameFormatError(
+                            f"truncated frame payload: got {len(payload)} "
+                            f"of {length} bytes"
+                        )
+                    response, stopping = self.server.dispatch_frame(
+                        version, opcode, flags, payload
+                    )
             except (socket.timeout, TimeoutError, OSError):
                 return
             except wire.WireError as exc:
                 # The stream is unsynchronized past a framing error:
                 # answer once, then drop the connection.
-                self._write(self._error_frame(exc))
+                self._write(_error_frame(wire.OP_HELLO, str(exc)))
                 return
-            if frame is None:
-                return  # orderly EOF at a frame boundary
-            version, opcode, flags, payload = frame
-            response, stopping = handle_frame(
-                self.server.service, version, opcode, flags, payload
-            )
             if not self._write(response):
                 return
             if self._finish_one(stopping):
                 return
 
-    @staticmethod
-    def _error_frame(exc: wire.WireError) -> bytes:
-        return wire.pack_frame(
-            wire.OP_HELLO,
-            wire.encode_compact({"ok": False, "error": str(exc)}),
-            flags=wire.FLAG_RESPONSE | wire.FLAG_ERROR,
-        )
+    def _drain(self, length: int) -> None:
+        remaining = length
+        while remaining:
+            chunk = self.rfile.read(min(remaining, _DRAIN_CHUNK))
+            if not chunk:
+                raise ConnectionError(
+                    "connection closed while draining an oversized frame"
+                )
+            remaining -= len(chunk)
 
 
 class SketchServiceServer(socketserver.ThreadingTCPServer):
     """Threaded TCP server exposing one estimation service.
+
+    ``repro serve`` fronts a store (or a cluster) with it, and every
+    shard worker runs one.
 
     Parameters
     ----------
@@ -213,13 +272,14 @@ class SketchServiceServer(socketserver.ThreadingTCPServer):
         ``"json"`` / ``"binary"`` refuse the other protocol with a
         one-response explanation.
     max_frame_bytes:
-        Upper bound on a binary frame payload; oversized or corrupt
-        length fields are refused before allocation
-        (:class:`~repro.service.wire.FrameTooLargeError`).
+        Upper bound on a binary frame payload; a larger frame is
+        refused before allocation and drained.  JSON request lines
+        are bounded at ``max(max_frame_bytes, 64 KiB)``.
     """
 
     allow_reuse_address = True
     daemon_threads = True
+    request_queue_size = 128
 
     def __init__(
         self,
@@ -249,9 +309,14 @@ class SketchServiceServer(socketserver.ThreadingTCPServer):
                 f"got {max_frame_bytes}"
             )
         self.max_frame_bytes = int(max_frame_bytes)
+        self.max_line_bytes = max(self.max_frame_bytes, 1 << 16)
         self._served = 0
         self._served_lock = threading.Lock()
         super().__init__(tuple(address), _RequestHandler)
+
+    def dispatch_frame(self, version, opcode, flags, payload):
+        """Serve one binary frame: ``(response frame, stopping)``."""
+        return handle_frame(self.service, version, opcode, flags, payload)
 
     def count_request(self) -> bool:
         """Record one served request; True when the budget is exhausted."""

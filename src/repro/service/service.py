@@ -43,10 +43,9 @@ enumerators consume, so a join order can be chosen from cached
 windowed estimates directly.
 
 The ``repro serve`` CLI command puts this module on the wire through
-:class:`~repro.service.aserver.EventLoopServer` (line-delimited JSON
-and binary frames on one port); shard workers use the threaded
-:class:`~repro.service.server.SketchServiceServer`, which speaks the
-same two protocols.
+the threaded :class:`~repro.service.server.SketchServiceServer`
+(line-delimited JSON and binary frames on one port), the same server
+every shard worker runs.
 """
 
 from __future__ import annotations

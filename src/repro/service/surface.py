@@ -1,11 +1,11 @@
 """The transport-independent service surface: one op table, every server.
 
-Four things serve estimates in this repo — the threaded line-JSON
-server, the asyncio event-loop front end, the shard worker, and the
-cluster scatter–gather facade behind either.  They all dispatch
-through the table below, so an op (name, opcode, handler, error
-wording, idempotency) exists exactly once; a transport contributes
-only framing.
+Three things serve estimates in this repo — the threaded server
+behind ``repro serve``, the shard worker (a service behind that same
+server), and the cluster scatter–gather facade a front serves.  They
+all dispatch through the table below, so an op (name, opcode,
+handler, error wording, idempotency) exists exactly once; a transport
+contributes only framing.
 
 Entry points:
 

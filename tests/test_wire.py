@@ -1,11 +1,12 @@
-"""ISSUE 6: the binary wire protocol, the event-loop front end, and
-the pipelined/at-most-once shard client.
+"""The binary wire protocol, the threaded transport, and the
+pipelined/at-most-once shard client.
 
 Covers the frame and payload codecs (including malformed-frame fuzz),
-the shared dispatch surface, protocol negotiation on both servers,
-request pipelining, the oversized-frame guard, protocol bit-identity
-(in-process vs line-JSON vs binary answers), and the shard client's
-at-most-once retry classification.
+the shared dispatch surface, protocol negotiation on both server
+classes, request pipelining, the oversized-frame and long-line
+guards, the listen backlog, protocol bit-identity (in-process vs
+line-JSON vs binary answers), and the shard client's at-most-once
+retry classification.
 """
 
 from __future__ import annotations
@@ -564,7 +565,8 @@ def _json_exchange(sock_file, request: dict) -> dict:
 
 @pytest.mark.parametrize("server_cls", [SketchServiceServer, EventLoopServer])
 class TestServersBothProtocols:
-    """Contracts that must hold for the threaded and event-loop servers."""
+    """Contracts every port keeps, front or shard worker: both server
+    classes share one transport, so each case holds for both."""
 
     def test_json_and_binary_interop_one_port(self, server_cls):
         service = make_service(kind="frequency")
@@ -655,12 +657,10 @@ class TestServersBothProtocols:
         with pytest.raises(ValueError, match="max_frame_bytes"):
             server_cls(make_service(), ("127.0.0.1", 0), max_frame_bytes=4)
 
-
-class TestEventLoopServer:
-    def test_pipelined_requests_answered_in_order(self):
+    def test_pipelined_requests_answered_in_order(self, server_cls):
         service = make_service(kind="frequency", bucket_width=1)
         service.ingest(np.arange(64), np.arange(64))
-        server = EventLoopServer(service, ("127.0.0.1", 0), read_timeout=10.0)
+        server = server_cls(service, ("127.0.0.1", 0), read_timeout=10.0)
         thread = _serve(server)
         try:
             with socket.create_connection(
@@ -685,8 +685,8 @@ class TestEventLoopServer:
         finally:
             _stop(server, thread)
 
-    def test_max_requests_self_shutdown(self):
-        server = EventLoopServer(
+    def test_max_requests_self_shutdown(self, server_cls):
+        server = server_cls(
             make_service(), ("127.0.0.1", 0),
             max_requests=2, read_timeout=10.0,
         )
@@ -705,8 +705,8 @@ class TestEventLoopServer:
         assert not thread.is_alive()
         server.server_close()
 
-    def test_oversized_frame_refused_connection_survives(self):
-        server = EventLoopServer(
+    def test_oversized_frame_refused_connection_survives(self, server_cls):
+        server = server_cls(
             make_service(), ("127.0.0.1", 0),
             read_timeout=10.0, max_frame_bytes=1024,
         )
@@ -727,8 +727,8 @@ class TestEventLoopServer:
         finally:
             _stop(server, thread)
 
-    def test_malformed_json_answered_connection_survives(self):
-        server = EventLoopServer(
+    def test_malformed_json_answered_connection_survives(self, server_cls):
+        server = server_cls(
             make_service(), ("127.0.0.1", 0), read_timeout=10.0
         )
         thread = _serve(server)
@@ -744,6 +744,97 @@ class TestEventLoopServer:
                 assert _json_exchange(f, {"op": "ping"})["pong"] is True
         finally:
             _stop(server, thread)
+
+    def test_over_long_json_line_refused_then_closed(self, server_cls):
+        # max_frame_bytes=1024 still allows a 64 KiB request line, and
+        # no more: a 200 KB line is refused without being read whole.
+        server = server_cls(
+            make_service(), ("127.0.0.1", 0),
+            read_timeout=10.0, max_frame_bytes=1024,
+        )
+        thread = _serve(server)
+        try:
+            with socket.create_connection(
+                server.server_address[:2], timeout=10
+            ) as conn:
+                f = conn.makefile("rwb")
+                padded = {"op": "ping", "pad": "x" * 200_000}
+                f.write((json.dumps(padded) + "\n").encode())
+                f.flush()
+                refused = json.loads(f.readline())
+                assert refused["ok"] is False
+                assert "65536-byte limit" in refused["error"]
+                assert f.readline() == b""  # connection closed after
+            with socket.create_connection(
+                server.server_address[:2], timeout=10
+            ) as conn:
+                f = conn.makefile("rwb")
+                at_limit = {"op": "ping", "pad": ""}
+                at_limit["pad"] = "x" * (65536 - len(json.dumps(at_limit)))
+                line = json.dumps(at_limit)
+                assert len(line) == 65536
+                f.write((line + "\n").encode())
+                f.flush()
+                assert json.loads(f.readline())["pong"] is True
+        finally:
+            _stop(server, thread)
+
+    def test_pipelined_burst_not_held_by_nagle(self, server_cls):
+        # Without TCP_NODELAY on the served socket, the second answer
+        # of a pipelined burst waits for the client's delayed ACK of
+        # the first (~40 ms on Linux); with it, a burst takes well
+        # under a millisecond on loopback.
+        server = server_cls(make_service(), ("127.0.0.1", 0), read_timeout=10.0)
+        thread = _serve(server)
+        try:
+            with socket.create_connection(
+                server.server_address[:2], timeout=10
+            ) as conn:
+                rf = conn.makefile("rb")
+                burst = wire.pack_frame(wire.OP_PING) * 8
+                elapsed = []
+                for _ in range(10):
+                    begin = time.perf_counter()
+                    conn.sendall(burst)
+                    for _ in range(8):
+                        _, opcode, flags, _ = wire.read_frame(rf)
+                        assert opcode == wire.OP_PING
+                        assert not flags & wire.FLAG_ERROR
+                    elapsed.append(time.perf_counter() - begin)
+            elapsed.sort()
+            median = (elapsed[4] + elapsed[5]) / 2
+            assert median < 0.020, f"median burst {median * 1e3:.1f} ms"
+        finally:
+            _stop(server, thread)
+
+    def test_listen_backlog_holds_a_connect_burst(self, server_cls):
+        # Nothing accepts until every client has connected, so each
+        # connect must complete in the listen queue alone; a queue of
+        # socketserver's default 5 drops the rest of the SYNs, and
+        # those clients wait out a 1 s retransmit.
+        server = server_cls(make_service(), ("127.0.0.1", 0), read_timeout=10.0)
+        conns = []
+        thread = None
+        try:
+            for _ in range(100):
+                conns.append(socket.create_connection(
+                    server.server_address[:2], timeout=0.5
+                ))
+            thread = _serve(server)
+            for conn in conns:
+                conn.settimeout(10)
+                conn.sendall(wire.pack_frame(wire.OP_PING))
+            for conn in conns:
+                with conn.makefile("rb") as rf:
+                    _, opcode, flags, _ = wire.read_frame(rf)
+                assert opcode == wire.OP_PING and not flags & wire.FLAG_ERROR
+        finally:
+            for conn in conns:
+                conn.close()
+            if thread is None:
+                server.server_close()
+            else:
+                _stop(server, thread)
 
 
 # ----------------------------------------------------------------------
