@@ -93,8 +93,10 @@ The script exits non-zero if any check fails.
 trajectory is tracked across PRs.
 
 Run:  PYTHONPATH=src python benchmarks/bench_engine.py [--quick] [--json PATH]
-      PYTHONPATH=src python benchmarks/bench_engine.py --smoke --json PATH
-      # --smoke: service + planner + cluster sections only, CI-sized
+      PYTHONPATH=src python benchmarks/bench_engine.py --smoke \
+          [--sections NAMES] --json PATH
+      # --smoke: the service, keyed, planner, cluster, faults, ingest
+      # and samplers sections, CI-sized; --sections runs a subset
 """
 
 from __future__ import annotations

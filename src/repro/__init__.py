@@ -63,7 +63,6 @@ from .core import (
     FkMomentSketch,
     FrequencyMomentTracker,
     FrequencyVector,
-    JoinSignatureFamily,
     MultiJoinFamily,
     MultiJoinSignature,
     NaiveSamplingEstimator,
@@ -72,7 +71,6 @@ from .core import (
     SampleCountSketch,
     SampleJoinSignature,
     SignHashFamily,
-    TugOfWarJoinSignature,
     TugOfWarSketch,
     UnsupportedMomentError,
     bounds,
@@ -162,8 +160,6 @@ __all__ = [
     "join_size",
     "distinct_values",
     # join signatures
-    "JoinSignatureFamily",
-    "TugOfWarJoinSignature",
     "SampleJoinSignature",
     "sample_join_estimate",
     "MultiJoinFamily",

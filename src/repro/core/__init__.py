@@ -4,9 +4,9 @@ Self-join trackers (Section 2): :class:`TugOfWarSketch`,
 :class:`SampleCountSketch` (+ fast-query variant), and the
 :class:`NaiveSamplingEstimator` baseline, all over the exact
 :class:`FrequencyVector` ground truth.  Join signatures (Section 4):
-:class:`JoinSignatureFamily` / :class:`TugOfWarJoinSignature` (k-TW)
-and :class:`SampleJoinSignature` (t_cross).  Analytic bounds live in
-:mod:`repro.core.bounds`.
+a k-TW signature is a :class:`TugOfWarSketch` with ``s2 = 1``, and
+:class:`SampleJoinSignature` is the t_cross scheme.  Analytic bounds
+live in :mod:`repro.core.bounds`.
 """
 
 from . import bounds
@@ -28,12 +28,7 @@ from .frequency import (
     self_join_size,
 )
 from .hashing import MERSENNE_PRIME_31, PolynomialHashFamily, SignHashFamily
-from .join import (
-    JoinSignatureFamily,
-    SampleJoinSignature,
-    TugOfWarJoinSignature,
-    sample_join_estimate,
-)
+from .join import SampleJoinSignature, sample_join_estimate
 from .moments import (
     FrequencyMomentTracker,
     UnsupportedMomentError,
@@ -71,8 +66,6 @@ __all__ = [
     "NaiveSamplingEstimator",
     "naive_sampling_estimate_offline",
     "scale_sample_self_join",
-    "JoinSignatureFamily",
-    "TugOfWarJoinSignature",
     "SampleJoinSignature",
     "sample_join_estimate",
     "MultiJoinFamily",

@@ -44,6 +44,7 @@ from typing import Collection, Iterable, Mapping
 import numpy as np
 
 from ..engine.registry import SketchPayloadError
+from ..kernels.dispatch import _as_domain_values
 
 __all__ = [
     "MERSENNE_PRIME_31",
@@ -209,13 +210,7 @@ class PolynomialHashFamily:
             uint64 array of shape ``(count, m)``; entry ``[i, j]`` is
             function i evaluated at ``values[j]``.
         """
-        vals = np.asarray(values, dtype=np.uint64)
-        if vals.ndim != 1:
-            raise ValueError(f"values must be one-dimensional, got shape {vals.shape}")
-        if vals.size and bool((vals >= _P).any()):
-            raise ValueError(
-                f"values contain entries >= {MERSENNE_PRIME_31}, outside the field"
-            )
+        vals = _as_domain_values(values)
         x = vals[np.newaxis, :]  # (1, m)
         acc = np.empty((self.count, vals.size), dtype=np.uint64)
         np.copyto(acc, self._coeffs[:, 0:1])  # broadcast fill, no extra copy

@@ -25,9 +25,13 @@ so the arithmetic mean of the k products estimates the join size within
 ``sqrt(2 SJ(F) SJ(G) / k)`` standard error — better than sampling
 whenever the self-join sizes satisfy ``C < n sqrt(B)`` (Section 4.4).
 
-Because the eps families must be shared across relations, signatures
-are created through a :class:`JoinSignatureFamily`; signatures from
-different families refuse to combine.
+A k-TW signature is a :class:`~repro.core.tugofwar.TugOfWarSketch`
+with ``s1 = k`` and ``s2 = 1``.  Sketches built from one seed share
+their sign functions; ``inner_product_mean`` is the mean of the k
+products, ``inner_product`` of an ``s2 > 1`` grid its median-of-means
+variant, and sketches of different seeds refuse to combine.
+:class:`~repro.relational.catalog.SignatureCatalog` keeps one per
+relation; this module holds the sample signatures.
 """
 
 from __future__ import annotations
@@ -36,184 +40,7 @@ from typing import Iterable
 
 import numpy as np
 
-from ..engine.protocol import as_histogram
-from .bounds import ktw_join_error_bound
-from .estimators import median_of_means
-from .hashing import SignHashFamily
-
-__all__ = [
-    "JoinSignatureFamily",
-    "TugOfWarJoinSignature",
-    "SampleJoinSignature",
-    "sample_join_estimate",
-]
-
-
-class TugOfWarJoinSignature:
-    """A k-word tug-of-war join signature of one relation (Section 4.3).
-
-    Create through :meth:`JoinSignatureFamily.signature`; all
-    signatures of one family share sign functions and can estimate
-    pairwise join sizes (and their own self-join size, since
-    ``|F join F| = SJ(F)``).
-
-    Supports insertions and deletions of joining-attribute values —
-    the incremental maintenance noted at the end of Section 4.3.
-    """
-
-    __slots__ = ("_family", "_family_id", "_z", "_n")
-
-    def __init__(self, family: "JoinSignatureFamily"):
-        self._family = family._signs
-        self._family_id = id(family._signs)
-        self._z = np.zeros(family.k, dtype=np.int64)
-        self._n = 0
-
-    # -- updates ---------------------------------------------------------
-    def insert(self, value: int) -> None:
-        """New tuple with joining-attribute value v: Z_i += h_i(v)."""
-        self._z += self._family.signs_one(value)
-        self._n += 1
-
-    def delete(self, value: int) -> None:
-        """Tuple removed: Z_i -= h_i(v)."""
-        if self._n <= 0:
-            raise ValueError("cannot delete from an empty relation")
-        self._z -= self._family.signs_one(value)
-        self._n -= 1
-
-    def update_from_frequencies(
-        self, values: np.ndarray | Iterable[int], counts: np.ndarray | Iterable[int]
-    ) -> None:
-        """Bulk-load a frequency histogram (vectorised)."""
-        vals, cnts = as_histogram(values, counts)
-        chunk = 1024  # keep the (k, chunk) sign matrix cache-resident
-        for start in range(0, vals.size, chunk):
-            signs = self._family.signs_many(vals[start : start + chunk]).astype(np.int64)
-            self._z += signs @ cnts[start : start + chunk]
-        self._n += int(cnts.sum())
-
-    def update_from_stream(self, values: np.ndarray | Iterable[int]) -> None:
-        """Bulk-load an insertion stream via its histogram."""
-        arr = np.asarray(values, dtype=np.int64)
-        if arr.size == 0:
-            return
-        uniq, counts = np.unique(arr, return_counts=True)
-        self.update_from_frequencies(uniq, counts)
-
-    # -- estimation --------------------------------------------------------
-    def join_estimate(self, other: "TugOfWarJoinSignature") -> float:
-        """k-TW join-size estimate: mean of the k counter products.
-
-        This is the literal Section 4.3 estimator (arithmetic mean of k
-        independent 1-TW estimators; error shrinks by sqrt(k)).
-        """
-        self._check_compatible(other)
-        return float(
-            (self._z.astype(np.float64) * other._z.astype(np.float64)).mean()
-        )
-
-    def join_estimate_median_of_means(
-        self, other: "TugOfWarJoinSignature", groups: int = 5
-    ) -> float:
-        """Median-of-means variant for extra confidence (k % groups == 0)."""
-        self._check_compatible(other)
-        k = self._z.size
-        if groups < 1 or k % groups:
-            raise ValueError(f"groups must divide k={k}, got {groups}")
-        products = (self._z.astype(np.float64) * other._z.astype(np.float64)).reshape(
-            groups, k // groups
-        )
-        return median_of_means(products)
-
-    def self_join_estimate(self) -> float:
-        """SJ(F) estimate from the same signature (|F join F|)."""
-        z = self._z.astype(np.float64)
-        return float((z * z).mean())
-
-    def error_bound(self, sj_self: float, sj_other: float) -> float:
-        """Lemma 4.4 standard error: sqrt(2 SJ(F) SJ(G) / k)."""
-        return ktw_join_error_bound(sj_self, sj_other, self._z.size)
-
-    def _check_compatible(self, other: "TugOfWarJoinSignature") -> None:
-        if not isinstance(other, TugOfWarJoinSignature):
-            raise TypeError(
-                f"expected TugOfWarJoinSignature, got {type(other).__name__}"
-            )
-        if self._family_id != other._family_id or self._family is not other._family:
-            raise ValueError(
-                "signatures come from different JoinSignatureFamily instances; "
-                "join estimation requires shared sign functions"
-            )
-
-    # -- introspection -----------------------------------------------------
-    @property
-    def k(self) -> int:
-        """Signature size in memory words."""
-        return int(self._z.size)
-
-    @property
-    def memory_words(self) -> int:
-        """Alias for :attr:`k` (paper cost model)."""
-        return self.k
-
-    @property
-    def n(self) -> int:
-        """Current relation size."""
-        return self._n
-
-    @property
-    def counters(self) -> np.ndarray:
-        """Read-only view of the raw counters."""
-        view = self._z.view()
-        view.flags.writeable = False
-        return view
-
-    def __repr__(self) -> str:  # pragma: no cover - cosmetic
-        return f"TugOfWarJoinSignature(k={self.k}, n={self._n})"
-
-
-class JoinSignatureFamily:
-    """Factory for k-TW signatures sharing one set of sign functions.
-
-    The k sign functions are drawn once (4-wise independent each,
-    mutually independent); every relation tracked under this family
-    gets its own counters but the same eps mappings, which is what
-    makes ``E[S(F) S(G)] = |F join G|`` hold.
-
-    Parameters
-    ----------
-    k:
-        Words per relation signature (Theorem 4.5 picks
-        ``k = c SJ(F) SJ(G) / B1^2``).
-    seed:
-        Seed for the sign functions; two families with equal (k, seed)
-        produce interchangeable signatures only if the same family
-        *object* is used — sharing is enforced by identity to prevent
-        accidental cross-family estimates.
-    """
-
-    def __init__(self, k: int, seed: int | None = None, independence: int = 4):
-        if k < 1:
-            raise ValueError(f"signature size k must be >= 1, got {k}")
-        self.k = int(k)
-        self.seed = seed
-        self._signs = SignHashFamily(self.k, seed=seed, independence=independence)
-
-    def signature(self) -> TugOfWarJoinSignature:
-        """A fresh all-zero signature for a new relation."""
-        return TugOfWarJoinSignature(self)
-
-    def signature_from_stream(
-        self, values: np.ndarray | Iterable[int]
-    ) -> TugOfWarJoinSignature:
-        """Build and bulk-load a signature from a value stream."""
-        sig = self.signature()
-        sig.update_from_stream(values)
-        return sig
-
-    def __repr__(self) -> str:  # pragma: no cover - cosmetic
-        return f"JoinSignatureFamily(k={self.k}, seed={self.seed!r})"
+__all__ = ["SampleJoinSignature", "sample_join_estimate"]
 
 
 class SampleJoinSignature:

@@ -15,10 +15,12 @@ linear function of the frequency vector, which also gives us:
 * **mergeability** — sketches of disjoint streams built with the same
   hash seeds add component-wise;
 * **batch updates** — a whole frequency histogram can be folded in with
-  one matrix-vector product, which is how the experiment harness
+  one fused scatter kernel call, which is how the experiment harness
   processes million-element streams in milliseconds;
 * **join estimation** — the inner product of two sketches estimates
-  the join size (Section 4.3; see :mod:`repro.core.join`).
+  the join size.  The paper's k-TW join signature (Section 4.3) is
+  this sketch with ``s1 = k, s2 = 1``, and :meth:`inner_product_mean`
+  is its estimator.
 
 Costs match Theorem 2.2: O(s) time per insert/delete/query, O(s)
 memory words.

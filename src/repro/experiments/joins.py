@@ -22,7 +22,8 @@ from typing import Sequence
 import numpy as np
 
 from ..core.frequency import join_size, self_join_size
-from ..core.join import JoinSignatureFamily, sample_join_estimate
+from ..core.join import sample_join_estimate
+from ..core.tugofwar import TugOfWarSketch
 from ..data.registry import DATASETS
 
 __all__ = [
@@ -104,10 +105,7 @@ def join_accuracy_sweep(
         ktw_errors = []
         ktw_last = 0.0
         for _ in range(repeats):
-            family = JoinSignatureFamily(int(k), seed=int(rng.integers(0, 2**63 - 1)))
-            sig_l = family.signature_from_stream(left)
-            sig_r = family.signature_from_stream(right)
-            ktw_last = sig_l.join_estimate(sig_r)
+            ktw_last = _ktw_estimate(left, right, int(k), rng)
             ktw_errors.append(_rel_err(ktw_last, exact))
         points.append(
             JoinAccuracyPoint(
@@ -161,11 +159,7 @@ def ktw_error_vs_bound(
     sj_r = self_join_size(right)
     errors = []
     for _ in range(trials):
-        family = JoinSignatureFamily(k, seed=int(rng.integers(0, 2**63 - 1)))
-        est = family.signature_from_stream(left).join_estimate(
-            family.signature_from_stream(right)
-        )
-        errors.append(est - exact)
+        errors.append(_ktw_estimate(left, right, k, rng) - exact)
     rms = float(np.sqrt(np.mean(np.square(errors))))
     bound = float(np.sqrt(2.0 * sj_l * sj_r / k))
     return {
@@ -192,6 +186,19 @@ def format_join_sweep(result: dict) -> str:
             f"{p.relative_error:>11.3f}"
         )
     return "\n".join(lines)
+
+
+def _ktw_estimate(
+    left: np.ndarray, right: np.ndarray, k: int, rng: np.random.Generator
+) -> float:
+    """One k-TW join estimate: two k x 1 tug-of-war sketches built from
+    one seed drawn from ``rng``."""
+    seed = int(rng.integers(0, 2**63 - 1))
+    sig_l = TugOfWarSketch(k, 1, seed=seed)
+    sig_r = TugOfWarSketch(k, 1, seed=seed)
+    sig_l.update_from_stream(left)
+    sig_r.update_from_stream(right)
+    return sig_l.inner_product_mean(sig_r)
 
 
 def _rel_err(estimate: float, actual: float) -> float:

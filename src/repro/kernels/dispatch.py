@@ -221,14 +221,30 @@ def _as_coeffs(coeffs) -> np.ndarray:
 
 def _as_domain_values(values) -> np.ndarray:
     """Values as contiguous uint64, validated into [0, p) in one pass."""
-    vals = np.ascontiguousarray(np.asarray(values, dtype=np.uint64))
+    try:
+        vals = np.ascontiguousarray(np.asarray(values, dtype=np.uint64))
+    except OverflowError:  # a Python int below 0 or past 2^64
+        raise _domain_error(values) from None
     if vals.ndim != 1:
         raise ValueError(f"values must be one-dimensional, got shape {vals.shape}")
     if vals.size and bool((vals >= _P64).any()):
-        raise ValueError(
-            f"values contain entries >= {MERSENNE_PRIME_31}, outside the field"
-        )
+        raise _domain_error(values)
     return vals
+
+
+def _domain_error(values) -> ValueError:
+    """The refusal of values outside [0, p), naming the first of them.
+
+    The check runs on the uint64 view, where a negative value reads as
+    one of at least 2^63, so only the refusal looks at the caller's
+    values again to name the one they sent.
+    """
+    arr = np.asarray(values).ravel()
+    bad = arr[(arr < 0) | (arr >= MERSENNE_PRIME_31)][:1].tolist()
+    shown = repr(bad[0]) if bad else "an entry"
+    return ValueError(
+        f"values contain {shown}, outside the field [0, {MERSENNE_PRIME_31})"
+    )
 
 
 def _as_counts(counts, size: int) -> np.ndarray:

@@ -8,8 +8,9 @@ way a database would:
 
 * :class:`Relation` — a named multiset of joining-attribute values with
   exact statistics (the ground truth);
-* :class:`SignatureCatalog` — tracks one k-TW signature per relation
-  (maintained incrementally under inserts/deletes) and answers
+* :class:`SignatureCatalog` — tracks one k-TW signature (a
+  tug-of-war sketch with ``s2 = 1``) per relation, maintained
+  incrementally under inserts/deletes, and answers
   pairwise join-size estimates from signatures alone, avoiding the
   quadratic blow-up of per-pair state;
 * :class:`~repro.relational.windowed.WindowedSignatureCatalog` — the

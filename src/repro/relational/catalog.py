@@ -18,7 +18,10 @@ from typing import Iterable
 
 import numpy as np
 
-from ..core.join import JoinSignatureFamily, SampleJoinSignature
+from ..core.bounds import ktw_join_error_bound
+from ..core.join import SampleJoinSignature
+from ..core.tugofwar import TugOfWarSketch
+from ..store.spec import SketchSpec
 
 __all__ = ["SignatureCatalog", "SampleCatalog", "UnknownRelationError"]
 
@@ -47,26 +50,32 @@ class UnknownRelationError(LookupError):
 class SignatureCatalog:
     """Tracks one k-TW join signature per registered relation.
 
+    A k-TW signature is a :class:`~repro.core.tugofwar.TugOfWarSketch`
+    with ``s1 = k`` and ``s2 = 1``, built from one spec, so every pair
+    of relations shares sign functions and can be estimated.
+
     Parameters
     ----------
     k:
-        Signature size (memory words per relation); all signatures
-        share one :class:`~repro.core.join.JoinSignatureFamily` so any
-        pair can be estimated.
+        Signature size (memory words per relation).
     seed:
-        Seed for the shared sign functions.
+        Seed for the shared sign functions; ``None`` draws one, once.
     """
 
     def __init__(self, k: int, seed: int | None = None):
-        self._family = JoinSignatureFamily(k, seed=seed)
-        self._signatures: dict[str, object] = {}
+        if k < 1:
+            raise ValueError(f"signature size k must be >= 1, got {k}")
+        self._spec = SketchSpec("tugofwar", {"s1": int(k), "s2": 1, "seed": seed})
+        # Fail fast on a bad seed, not at the first register.
+        self._spec.build()
+        self._signatures: dict[str, TugOfWarSketch] = {}
 
     # -- registration ------------------------------------------------------
     def register(self, name: str, values: Iterable[int] | np.ndarray | None = None):
         """Start tracking a relation; optionally bulk-load its values."""
         if name in self._signatures:
             raise KeyError(f"relation {name!r} already registered")
-        sig = self._family.signature()
+        sig = self._spec.build()
         if values is not None:
             sig.update_from_stream(np.asarray(values, dtype=np.int64))
         self._signatures[name] = sig
@@ -91,7 +100,7 @@ class SignatureCatalog:
         """Bulk-insert a batch of tuples through the vectorised path.
 
         Equivalent to per-tuple :meth:`insert` calls but the signature
-        folds the whole batch in with chunked matrix products.
+        folds the whole batch in with one kernel scatter.
         """
         self._sig(name).update_from_stream(np.asarray(values, dtype=np.int64))
 
@@ -101,17 +110,21 @@ class SignatureCatalog:
         values: Iterable[int] | np.ndarray,
         counts: Iterable[int] | np.ndarray,
     ) -> None:
-        """Apply a signed histogram of tuple changes to one relation."""
+        """Apply a signed histogram of tuple changes to one relation.
+
+        A batch that would leave the relation with fewer than zero
+        tuples is refused and the relation is left unchanged.
+        """
         self._sig(name).update_from_frequencies(values, counts)
 
     # -- estimation ----------------------------------------------------------
     def join_estimate(self, left: str, right: str) -> float:
         """k-TW estimate of |left join right| from signatures alone."""
-        return self._sig(left).join_estimate(self._sig(right))
+        return self._sig(left).inner_product_mean(self._sig(right))
 
     def self_join_estimate(self, name: str) -> float:
         """k-TW estimate of SJ(name)."""
-        return self._sig(name).self_join_estimate()
+        return self._sig(name).estimate_mean()
 
     def join_error_bound(self, left: str, right: str) -> float:
         """Lemma 4.4 standard error using the *estimated* self-joins.
@@ -121,7 +134,7 @@ class SignatureCatalog:
         """
         sj_l = max(0.0, self.self_join_estimate(left))
         sj_r = max(0.0, self.self_join_estimate(right))
-        return self._sig(left).error_bound(sj_l, sj_r)
+        return ktw_join_error_bound(sj_l, sj_r, self.k)
 
     # -- introspection ---------------------------------------------------------
     @property
@@ -132,14 +145,14 @@ class SignatureCatalog:
     @property
     def k(self) -> int:
         """Words per relation signature."""
-        return self._family.k
+        return int(self._spec.params["s1"])
 
     @property
     def memory_words(self) -> int:
         """Total catalog storage: k words per registered relation."""
-        return self._family.k * len(self._signatures)
+        return self.k * len(self._signatures)
 
-    def _sig(self, name: str):
+    def _sig(self, name: str) -> TugOfWarSketch:
         sig = self._signatures.get(name)
         if sig is None:
             raise UnknownRelationError(name, self._signatures)

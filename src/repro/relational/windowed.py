@@ -76,21 +76,26 @@ class WindowedSignatureCatalog:
         self.origin = int(origin)
         self.retention_buckets = retention_buckets
         self.retention_policy = retention_policy
+        # Fail fast on a bad width or retention setting: the first
+        # relation may be registered long after construction.
+        self._build_store()
         self._stores: dict[str, WindowedSketchStore] = {}
 
-    # -- registration ------------------------------------------------------
-    def register(self, name: str) -> WindowedSketchStore:
-        """Start tracking a relation (its store begins empty)."""
-        if name in self._stores:
-            raise KeyError(f"relation {name!r} already registered")
-        store = WindowedSketchStore(
+    def _build_store(self) -> WindowedSketchStore:
+        return WindowedSketchStore(
             self._spec,
             bucket_width=self.bucket_width,
             origin=self.origin,
             retention_buckets=self.retention_buckets,
             retention_policy=self.retention_policy,
         )
-        self._stores[name] = store
+
+    # -- registration ------------------------------------------------------
+    def register(self, name: str) -> WindowedSketchStore:
+        """Start tracking a relation (its store begins empty)."""
+        if name in self._stores:
+            raise KeyError(f"relation {name!r} already registered")
+        store = self._stores[name] = self._build_store()
         return store
 
     def drop(self, name: str) -> None:

@@ -185,12 +185,17 @@ class TestLemma44:
             bounds.ktw_join_error_bound(1.0, 1.0, 0)
 
     def test_matches_signature_error_bound(self, rng):
-        # The shared formula is the one the signature family reports.
-        from repro.core.join import JoinSignatureFamily
+        # The shared formula is the one a k-TW catalog reports, with
+        # its k x 1 tug-of-war signatures' own self-join estimates.
+        from repro.core.tugofwar import TugOfWarSketch
+        from repro.relational import SignatureCatalog
 
-        family = JoinSignatureFamily(128, seed=0)
-        sig = family.signature()
-        sig.update_from_stream(rng.integers(0, 20, size=500))
-        assert sig.error_bound(10.0, 20.0) == pytest.approx(
-            bounds.ktw_join_error_bound(10.0, 20.0, 128)
+        values = rng.integers(0, 20, size=500)
+        sig = TugOfWarSketch(s1=128, s2=1, seed=0)
+        sig.update_from_stream(values)
+        catalog = SignatureCatalog(128, seed=0)
+        catalog.register("F", values)
+        sj = sig.estimate_mean()
+        assert catalog.join_error_bound("F", "F") == bounds.ktw_join_error_bound(
+            sj, sj, 128
         )

@@ -78,6 +78,17 @@ class TestPolynomialHashFamily:
         with pytest.raises(ValueError, match="outside"):
             fam.hash_many(np.array([1, MERSENNE_PRIME_31 + 5], dtype=np.uint64))
 
+    @pytest.mark.parametrize("values", [
+        [-1],  # a list: numpy's uint64 cast overflows
+        np.array([3, -1], dtype=np.int64),  # an array: -1 wraps past p
+    ])
+    def test_negative_value_named(self, values):
+        domain = r"values contain -1, outside the field \[0, 2147483647\)"
+        with pytest.raises(ValueError, match=domain):
+            PolynomialHashFamily(count=2, seed=0).hash_many(values)
+        with pytest.raises(ValueError, match=domain):
+            SignHashFamily(count=2, seed=0).signs_many(values)
+
     def test_rejects_bad_count(self):
         with pytest.raises(ValueError, match="count"):
             PolynomialHashFamily(count=0)

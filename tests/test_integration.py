@@ -10,7 +10,6 @@ from repro import (
     ExactCardinalities,
     FrequencyVector,
     JoinGraph,
-    JoinSignatureFamily,
     Relation,
     SampleCountSketch,
     SignatureCatalog,
@@ -113,8 +112,11 @@ class TestJoinScenario:
         a = np.concatenate([np.zeros(2000, dtype=np.int64), rng.integers(1, 500, size=2000)])
         b = np.concatenate([np.ones(2000, dtype=np.int64), rng.integers(1, 500, size=2000)])
         exact = join_size(a, b)
-        fam = JoinSignatureFamily(1024, seed=4)
-        est = fam.signature_from_stream(a).join_estimate(fam.signature_from_stream(b))
+        sig_a = TugOfWarSketch(s1=1024, s2=1, seed=4)
+        sig_b = TugOfWarSketch(s1=1024, s2=1, seed=4)
+        sig_a.update_from_stream(a)
+        sig_b.update_from_stream(b)
+        est = sig_a.inner_product_mean(sig_b)
         fact11 = repro.bounds.join_size_upper_bound(self_join_size(a), self_join_size(b))
         assert abs(est - exact) < 0.2 * fact11
 

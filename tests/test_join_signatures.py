@@ -1,4 +1,8 @@
-"""Unit tests for k-TW and sample join signatures (Section 4)."""
+"""Unit tests for k-TW and sample join signatures (Section 4).
+
+A k-TW signature is a :class:`TugOfWarSketch` with ``s1 = k`` and
+``s2 = 1``; its join estimate is ``inner_product_mean``.
+"""
 
 from __future__ import annotations
 
@@ -6,11 +10,14 @@ import numpy as np
 import pytest
 
 from repro.core.frequency import join_size, self_join_size
-from repro.core.join import (
-    JoinSignatureFamily,
-    SampleJoinSignature,
-    sample_join_estimate,
+from repro.core.join import SampleJoinSignature, sample_join_estimate
+from repro.core.tugofwar import TugOfWarSketch
+from repro.experiments.joins import (
+    join_accuracy_sweep,
+    ktw_error_vs_bound,
+    make_relation_pair,
 )
+from repro.relational import SignatureCatalog
 
 
 @pytest.fixture
@@ -20,56 +27,33 @@ def relation_pair(rng):
     return left, right
 
 
-class TestJoinSignatureFamily:
-    def test_rejects_bad_k(self):
-        with pytest.raises(ValueError):
-            JoinSignatureFamily(0)
-
-    def test_signature_starts_empty(self):
-        sig = JoinSignatureFamily(8, seed=0).signature()
-        assert sig.n == 0
-        assert np.all(sig.counters == 0)
-
-    def test_signature_from_stream(self, relation_pair):
-        left, _ = relation_pair
-        sig = JoinSignatureFamily(16, seed=0).signature_from_stream(left)
-        assert sig.n == left.size
-
-    def test_k_and_memory_words(self):
-        sig = JoinSignatureFamily(32, seed=0).signature()
-        assert sig.k == 32
-        assert sig.memory_words == 32
+def ktw(values, k: int, seed: int, s2: int = 1) -> TugOfWarSketch:
+    """A loaded k-TW signature: k words as ``s2`` groups of ``k // s2``."""
+    sig = TugOfWarSketch(s1=k // s2, s2=s2, seed=seed)
+    sig.update_from_stream(values)
+    return sig
 
 
-class TestTugOfWarJoinSignature:
+class TestKtwSignature:
     def test_join_estimate_close(self, relation_pair):
         left, right = relation_pair
         exact = join_size(left, right)
-        family = JoinSignatureFamily(512, seed=3)
-        est = family.signature_from_stream(left).join_estimate(
-            family.signature_from_stream(right)
-        )
+        est = ktw(left, 512, seed=3).inner_product_mean(ktw(right, 512, seed=3))
         assert est == pytest.approx(exact, rel=0.3)
 
     def test_self_join_estimate_close(self, relation_pair):
         left, _ = relation_pair
         exact = self_join_size(left)
-        family = JoinSignatureFamily(512, seed=4)
-        sig = family.signature_from_stream(left)
-        assert sig.self_join_estimate() == pytest.approx(exact, rel=0.3)
+        assert ktw(left, 512, seed=4).estimate_mean() == pytest.approx(exact, rel=0.3)
 
     def test_unbiasedness_over_families(self, rng):
         left = rng.integers(0, 12, size=400).astype(np.int64)
         right = rng.integers(0, 12, size=400).astype(np.int64)
         exact = join_size(left, right)
-        estimates = []
-        for seed in range(300):
-            family = JoinSignatureFamily(1, seed=seed)
-            estimates.append(
-                family.signature_from_stream(left).join_estimate(
-                    family.signature_from_stream(right)
-                )
-            )
+        estimates = [
+            ktw(left, 1, seed).inner_product_mean(ktw(right, 1, seed))
+            for seed in range(300)
+        ]
         assert np.mean(estimates) == pytest.approx(exact, rel=0.25)
 
     def test_variance_within_lemma44_bound(self, rng):
@@ -78,78 +62,30 @@ class TestTugOfWarJoinSignature:
         left = rng.integers(0, 20, size=500).astype(np.int64)
         right = rng.integers(0, 20, size=500).astype(np.int64)
         bound = 2.0 * self_join_size(left) * self_join_size(right)
-        estimates = []
-        for seed in range(400):
-            family = JoinSignatureFamily(1, seed=seed)
-            estimates.append(
-                family.signature_from_stream(left).join_estimate(
-                    family.signature_from_stream(right)
-                )
-            )
+        estimates = [
+            ktw(left, 1, seed).inner_product_mean(ktw(right, 1, seed))
+            for seed in range(400)
+        ]
         assert np.var(estimates) <= 1.5 * bound
 
-    def test_deletion_reverses_insert(self):
-        family = JoinSignatureFamily(16, seed=0)
-        sig = family.signature()
-        sig.insert(4)
-        before = sig.counters.copy()
-        sig.insert(9)
-        sig.delete(9)
-        assert np.array_equal(sig.counters, before)
-        assert sig.n == 1
-
-    def test_delete_from_empty_raises(self):
-        sig = JoinSignatureFamily(4, seed=0).signature()
-        with pytest.raises(ValueError, match="empty"):
-            sig.delete(1)
-
-    def test_incremental_matches_bulk(self, relation_pair):
-        left, _ = relation_pair
-        family = JoinSignatureFamily(32, seed=5)
-        bulk = family.signature_from_stream(left)
-        inc = family.signature()
-        for v in left.tolist():
-            inc.insert(int(v))
-        assert np.array_equal(bulk.counters, inc.counters)
-
     def test_cross_family_rejected(self, relation_pair):
+        # A family is named by its seed: two signatures built apart
+        # from equal (k, seed) share sign functions and combine, and
+        # signatures of different seeds are refused.
         left, right = relation_pair
-        f1 = JoinSignatureFamily(8, seed=0)
-        f2 = JoinSignatureFamily(8, seed=0)  # same seed, different object
-        with pytest.raises(ValueError, match="different JoinSignatureFamily"):
-            f1.signature_from_stream(left).join_estimate(
-                f2.signature_from_stream(right)
-            )
-
-    def test_join_estimate_rejects_other_types(self):
-        sig = JoinSignatureFamily(4, seed=0).signature()
-        with pytest.raises(TypeError):
-            sig.join_estimate("nope")
+        a, b = ktw(left, 8, seed=0), ktw(right, 8, seed=0)
+        assert a.inner_product_mean(b) == float(
+            (a.counters.astype(np.float64) * b.counters).mean()
+        )
+        with pytest.raises(ValueError, match="different hash families"):
+            a.inner_product_mean(ktw(right, 8, seed=1))
 
     def test_median_of_means_variant(self, relation_pair):
         left, right = relation_pair
         exact = join_size(left, right)
-        family = JoinSignatureFamily(500, seed=6)
-        a = family.signature_from_stream(left)
-        b = family.signature_from_stream(right)
-        assert a.join_estimate_median_of_means(b, groups=5) == pytest.approx(
-            exact, rel=0.35
-        )
-
-    def test_median_of_means_requires_divisor(self):
-        family = JoinSignatureFamily(10, seed=0)
-        a, b = family.signature(), family.signature()
-        with pytest.raises(ValueError, match="divide"):
-            a.join_estimate_median_of_means(b, groups=3)
-
-    def test_error_bound_formula(self):
-        sig = JoinSignatureFamily(8, seed=0).signature()
-        assert sig.error_bound(4.0, 9.0) == pytest.approx(np.sqrt(2 * 36 / 8))
-
-    def test_error_bound_rejects_negative(self):
-        sig = JoinSignatureFamily(8, seed=0).signature()
-        with pytest.raises(ValueError):
-            sig.error_bound(-1.0, 2.0)
+        a = ktw(left, 500, seed=6, s2=5)
+        b = ktw(right, 500, seed=6, s2=5)
+        assert a.inner_product(b) == pytest.approx(exact, rel=0.35)
 
     def test_empirical_rms_within_bound(self, rng):
         # Lemma 4.4: RMS error of k-TW <= sqrt(2 SJ SJ / k).
@@ -158,20 +94,69 @@ class TestTugOfWarJoinSignature:
         exact = join_size(left, right)
         k = 64
         bound = np.sqrt(2.0 * self_join_size(left) * self_join_size(right) / k)
-        errors = []
-        for seed in range(60):
-            family = JoinSignatureFamily(k, seed=seed)
-            est = family.signature_from_stream(left).join_estimate(
-                family.signature_from_stream(right)
-            )
-            errors.append(est - exact)
+        errors = [
+            ktw(left, k, seed).inner_product_mean(ktw(right, k, seed)) - exact
+            for seed in range(60)
+        ]
         rms = np.sqrt(np.mean(np.square(errors)))
         assert rms <= 1.3 * bound
 
-    def test_update_from_frequencies_validates(self):
-        sig = JoinSignatureFamily(4, seed=0).signature()
-        with pytest.raises(ValueError, match="equal-length"):
-            sig.update_from_frequencies([1], [1, 2])
+
+class TestPinnedKtwValues:
+    """Exact k-TW values, computed before the join signature became a
+    ``TugOfWarSketch``: the experiments and the catalog must keep
+    answering them bit for bit."""
+
+    @pytest.fixture(scope="class")
+    def pair(self):
+        return make_relation_pair("zipf1.0", n=20_000, overlap=0.5, seed=3)
+
+    def test_join_accuracy_sweep(self, pair):
+        sweep = join_accuracy_sweep(*pair, budgets=(16, 256), seed=5, repeats=3)
+        assert (
+            sweep["exact_join"], sweep["self_join_left"], sweep["self_join_right"]
+        ) == (3527572, 7052036, 3475442)
+        assert [
+            (p.scheme, p.memory_words, p.estimate, p.relative_error)
+            for p in sweep["points"]
+        ] == [
+            ("k-TW", 16, 3361796.0, 0.046994363261756246),
+            ("sample", 16, 1562500.0, 0.5570607772144693),
+            ("k-TW", 256, 3800587.890625, 0.012707740267243304),
+            ("sample", 256, 3369140.625, 0.04491230086869949),
+        ]
+
+    def test_ktw_error_vs_bound(self, pair):
+        assert ktw_error_vs_bound(*pair, k=64, trials=8, seed=2) == {
+            "exact_join": 3527572,
+            "rms_error": 607569.6221873232,
+            "bound": 875159.6657880492,
+            "ratio": 0.6942386011816815,
+            "k": 64,
+            "trials": 8,
+        }
+
+    def test_signature_catalog(self, pair):
+        left, right = pair
+        catalog = SignatureCatalog(k=128, seed=11)
+        catalog.register("F", left)
+        catalog.register("G", right)
+        assert (
+            catalog.join_estimate("F", "G"),
+            catalog.self_join_estimate("F"),
+            catalog.self_join_estimate("G"),
+            catalog.join_error_bound("F", "G"),
+        ) == (4388739.4375, 7364364.375, 4444446.40625, 715132.4481868757)
+        catalog.insert("F", 7)
+        catalog.delete("G", int(right[0]))
+        catalog.insert_many("G", [1, 2, 2])
+        catalog.update_from_frequencies("F", [3, 4], [2, -1])
+        assert (
+            catalog.join_estimate("F", "G"),
+            catalog.self_join_estimate("F"),
+            catalog.join_error_bound("F", "G"),
+            catalog.memory_words,
+        ) == (4393054.21875, 7365341.15625, 715552.5211907489, 256)
 
 
 class TestSampleJoinSignature:

@@ -304,6 +304,24 @@ def test_out_of_domain_values_rejected(restore_backend):
         )
 
 
+@pytest.mark.parametrize("values", [
+    [-1],  # a list: numpy's uint64 cast overflows
+    np.array([4, -1], dtype=np.int64),  # an array: -1 wraps past p
+])
+def test_negative_values_named_in_refusal(restore_backend, values):
+    coeffs = _coeffs(8, 4, seed=1)
+    z = np.zeros(8, dtype=np.int64)
+    counts = np.ones(np.size(values), dtype=np.int64)
+    domain = r"values contain -1, outside the field \[0, 2147483647\)"
+    with pytest.raises(ValueError, match=domain):
+        kernels.tugofwar_scatter(coeffs, values, counts, z)
+    with pytest.raises(ValueError, match=domain):
+        kernels.fk_scatter(
+            coeffs, values, counts, np.zeros((8, 3), dtype=np.int64), 3
+        )
+    assert not z.any()
+
+
 @pytest.mark.parametrize("backend", kernels.available_backends())
 def test_scalar_update_refuses_state_of_another_shape(backend):
     """The scalar dispatchers check the state shape, as the scatters do.

@@ -137,6 +137,23 @@ class TestSignatureCatalog:
         with pytest.raises(UnknownRelationError, match="not registered"):
             catalog.join_estimate("A", "Z")
 
+    def test_rejects_bad_k(self):
+        with pytest.raises(ValueError, match="k must be >= 1, got 0"):
+            SignatureCatalog(k=0)
+
+    def test_bad_seed_refused_at_construction(self):
+        with pytest.raises(ValueError, match="seed"):
+            SignatureCatalog(k=8, seed=-1)
+
+    def test_net_negative_update_refused_and_unchanged(self):
+        catalog = SignatureCatalog(k=16, seed=0)
+        sig = catalog.register("R", [1, 1, 2])
+        before = sig.counters.copy()
+        with pytest.raises(ValueError, match="negative"):
+            catalog.update_from_frequencies("R", [1, 2], [-3, -3])
+        assert sig.n == 3
+        assert np.array_equal(sig.counters, before)
+
     def test_unknown_relation_error_is_not_keyerror(self, catalog):
         # The old raw-mapping KeyError looked like an internal bug; the
         # dedicated error names the relation and lists what exists.

@@ -126,6 +126,22 @@ class TestCatalogManagement:
         with pytest.raises(ValueError, match="k >= s2"):
             WindowedSignatureCatalog(k=2, bucket_width=10, s2=5)
 
+    # A bad store setting is refused at construction, not at the first
+    # register, which may come long after.
+    def test_zero_bucket_width_refused_at_construction(self):
+        with pytest.raises(ValueError, match="bucket_width"):
+            WindowedSignatureCatalog(k=16, bucket_width=0)
+
+    def test_unknown_retention_policy_refused_at_construction(self):
+        with pytest.raises(ValueError, match="retention_policy"):
+            WindowedSignatureCatalog(
+                k=16, bucket_width=10, retention_policy="bogus"
+            )
+
+    def test_zero_retention_buckets_refused_at_construction(self):
+        with pytest.raises(ValueError, match="retention_buckets"):
+            WindowedSignatureCatalog(k=16, bucket_width=10, retention_buckets=0)
+
     def test_k_reports_actual_allocation(self):
         # A k that is not a multiple of s2 drops the remainder words;
         # the property reports what was actually allocated.

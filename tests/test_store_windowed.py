@@ -215,6 +215,14 @@ class TestRoutingAndWindows:
         with pytest.raises(ValueError, match="counts"):
             store.ingest([1, 2], [1, 2], counts=[1])
 
+    def test_negative_value_refused_by_name(self):
+        store = WindowedSketchStore(TW_SPEC, bucket_width=10)
+        with pytest.raises(
+            ValueError, match=r"contain -1, outside the field \[0, 2147483647\)"
+        ):
+            store.ingest([1, 2], [5, -1])
+        assert store.estimate(0, 10) == 0.0
+
     def test_constructor_validation(self):
         with pytest.raises(ValueError, match="bucket_width"):
             WindowedSketchStore(TW_SPEC, bucket_width=0)

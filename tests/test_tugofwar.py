@@ -74,6 +74,7 @@ class TestLinearity:
             b.insert(int(v))
         assert np.array_equal(a.counters, b.counters)
         assert a.estimate() == b.estimate()
+        assert a.n == b.n == small_stream.size
 
     def test_update_with_count(self):
         a = TugOfWarSketch(s1=16, seed=5)

@@ -516,6 +516,17 @@ class TestHandleFrame:
         }
         assert service.estimate_window(0, 10).estimate == 5.0  # 2^2 + 1
 
+    def test_negative_value_ingest_refused_by_name(self):
+        service = make_service()
+        payload = wire.pack_ingest(5, np.array([3, -1]))
+        response, _ = handle_frame(
+            service, wire.WIRE_VERSION, wire.OP_INGEST, 0, payload
+        )
+        _, _, flags, body = _parse_one(response)
+        assert flags & wire.FLAG_ERROR
+        error = wire.decode_compact(body)["error"]
+        assert "values contain -1, outside the field [0, 2147483647)" in error
+
     def test_shutdown_reports_stopping(self):
         response, stopping = handle_frame(
             make_service(), wire.WIRE_VERSION, wire.OP_SHUTDOWN, 0, b""
