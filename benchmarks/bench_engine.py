@@ -394,16 +394,26 @@ def keyed_section(
             if read_latencies
             else float("nan")
         )
+        # Held words against the sparse floor: 2 words per distinct
+        # (key, bucket, value) triple, what exact histograms would hold.
+        memory_words = service.memory_words
+        floor_words = 2 * np.unique(
+            (key_ids * num_buckets + timestamps) * (int(stream.max()) + 1)
+            + stream
+        ).size
         print(
             f"  {key_count:>6,} keys  ingest {ingest_s:7.3f} s  "
             f"{throughput(n, ingest_s)}   query p50 {hot_ms:8.4f} ms  "
-            f"(churn p50 {churn_ms:8.4f} ms)"
+            f"(churn p50 {churn_ms:8.4f} ms)   words {memory_words:,} "
+            f"(sparse floor {floor_words:,})"
         )
         metrics[f"keys_{key_count}"] = {
             "ingest_s": ingest_s,
             "ingest_meps": n / ingest_s / 1e6 if ingest_s else float("inf"),
             "query_p50_ms": hot_ms,
             "churn_p50_ms": churn_ms,
+            "memory_words": memory_words,
+            "sparse_floor_words": floor_words,
         }
 
         # Bit-identity: each sampled key vs a monolithic store fed only

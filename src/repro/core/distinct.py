@@ -31,6 +31,7 @@ import numpy as np
 
 from ..engine.protocol import Sketch, as_histogram
 from ..engine.registry import register_sketch
+from ..kernels.dispatch import _as_domain_values
 from .estimators import group_shape_for
 from .hashing import PolynomialHashFamily
 
@@ -125,6 +126,11 @@ class DistinctCountSketch(Sketch):
         total = int(cnts.sum())
         if self._n + total < 0:
             raise ValueError("batch would make the multiset size negative")
+        if vals.size > _BATCH_CHUNK:
+            # Each chunk's call checks only its own values: check them
+            # all first, so a refused batch leaves the counters as
+            # they were.
+            _as_domain_values(vals)
         for start in range(0, vals.size, _BATCH_CHUNK):
             chunk_vals = vals[start : start + _BATCH_CHUNK]
             chunk_cnts = cnts[start : start + _BATCH_CHUNK]

@@ -204,7 +204,12 @@ class WindowedSignatureCatalog:
 
     @property
     def memory_words(self) -> int:
-        """Total storage across every relation's buckets."""
+        """Words held across every relation's buckets.
+
+        A bucket counts its sketch's :attr:`k` words once it holds the
+        sketch, and 2 per distinct value while it holds the exact
+        histogram (fewer than ``k / 2`` values).
+        """
         return sum(store.memory_words for store in self._stores.values())
 
     def store(self, name: str) -> WindowedSketchStore:

@@ -14,11 +14,17 @@ scatter–gather well defined.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Iterable, Sequence
 
-from ..engine.protocol import Sketch
+import numpy as np
 
-__all__ = ["BucketLayout", "BucketSpan", "WindowAlignmentError"]
+from ..engine.protocol import Sketch, as_histogram
+from ..kernels.dispatch import _as_domain_values
+
+__all__ = ["BucketLayout", "BucketSpan", "SparseRow", "WindowAlignmentError"]
+
+_NO_VALUES = np.empty(0, dtype=np.int64)
+_NO_VALUES.setflags(write=False)
 
 
 class WindowAlignmentError(ValueError):
@@ -30,13 +36,86 @@ class WindowAlignmentError(ValueError):
     """
 
 
+class SparseRow:
+    """The exact frequency vector of a span, held in place of its sketch.
+
+    A linear sketch is a function of its frequency vector alone, so a
+    span that has seen few distinct values can hold the values whose
+    net count is nonzero, with those counts, in 2 words per value; one
+    ``update_from_frequencies`` of that histogram into a fresh sketch
+    gives back its counters bit for bit.  The row takes a sketch's two
+    bulk updates and refuses what the sketch's own would refuse — a
+    batch that would make ``n`` negative, or a value outside the hash
+    field — with the same message, before anything changes.
+    """
+
+    __slots__ = ("values", "counts", "n")
+
+    def __init__(
+        self, values: np.ndarray = _NO_VALUES, counts: np.ndarray = _NO_VALUES
+    ):
+        self.values = values  # sorted, distinct
+        self.counts = counts  # their net counts, all nonzero
+        self.n = int(counts.sum())
+
+    @classmethod
+    def union(cls, rows: Sequence["SparseRow"]) -> "SparseRow":
+        """One row holding the sum of ``rows``' frequency vectors."""
+        return cls(*_net(
+            np.concatenate([r.values for r in rows]),
+            np.concatenate([r.counts for r in rows]),
+        ))
+
+    @property
+    def memory_words(self) -> int:
+        """Two words per held (value, count) pair."""
+        return 2 * self.values.size
+
+    def update_from_frequencies(
+        self, values: np.ndarray | Iterable[int], counts: np.ndarray | Iterable[int]
+    ) -> None:
+        """Add a signed histogram, checked as a linear sketch checks it."""
+        vals, cnts = as_histogram(values, counts)
+        total = int(cnts.sum())
+        if self.n + total < 0:
+            raise ValueError("batch would make the multiset size negative")
+        _as_domain_values(vals)
+        self.values, self.counts = _net(
+            np.concatenate((self.values, vals)),
+            np.concatenate((self.counts, cnts)),
+        )
+        self.n += total
+
+    def update_from_stream(self, values: np.ndarray | Iterable[int]) -> None:
+        """Add an insertion-only stream via its histogram, as a sketch does."""
+        arr = np.asarray(values, dtype=np.int64)
+        if arr.size:
+            self.update_from_frequencies(*np.unique(arr, return_counts=True))
+
+
+def _net(values: np.ndarray, counts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Sort a histogram, sum repeated values and drop zero counts."""
+    order = np.argsort(values, kind="stable")
+    values, counts = values[order], counts[order]
+    if values.size > 1:
+        starts = np.flatnonzero(np.concatenate(([True], values[1:] != values[:-1])))
+        values, counts = values[starts], np.add.reduceat(counts, starts)
+    live = counts != 0
+    return values[live], counts[live]
+
+
 @dataclass(eq=False)
 class BucketSpan:
-    """A half-open range of bucket indices summarised by one sketch."""
+    """A half-open range of bucket indices and the row summarising it.
+
+    The row is the span's sketch, or a :class:`SparseRow` while the
+    span is a small one of a linear kind (see
+    :class:`~repro.store.windowed.WindowedSketchStore`).
+    """
 
     start: int  # first bucket index covered (inclusive)
     end: int  # one past the last bucket index covered
-    sketch: Sketch
+    row: Sketch | SparseRow
 
     def covers(self, bucket: int) -> bool:
         """Whether ``bucket`` falls inside this span."""

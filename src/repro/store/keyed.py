@@ -116,9 +116,10 @@ class KeyedSketchStore:
         self.max_keys = None if max_keys is None else int(max_keys)
         self.retention_buckets = retention_buckets
         self.retention_policy = retention_policy
-        # Fail fast on bad retention settings (and non-mergeable kinds
-        # under compact retention): the first key may only arrive hours
-        # into serving, far from the misconfiguration.
+        # Fail fast on bad retention settings, non-mergeable kinds
+        # under compact retention and a spec no sketch can be built
+        # from: the first key may only arrive hours into serving, far
+        # from the misconfiguration.
         self._build_store()
         self._stores: dict[str, WindowedSketchStore] = {}
 
@@ -273,7 +274,12 @@ class KeyedSketchStore:
 
     @property
     def memory_words(self) -> int:
-        """Total storage across every key's bucket sketches."""
+        """Words held across every key's spans.
+
+        A span holding a sketch counts its words; a sparse row counts
+        2 per (value, count) pair it holds (see
+        :attr:`WindowedSketchStore.memory_words`).
+        """
         return sum(s.memory_words for s in self._stores.values())
 
     def items_by_key(self) -> dict[str, int]:
@@ -392,8 +398,8 @@ def _store_items(store: WindowedSketchStore) -> int:
     """
     total = 0
     for span in store._spans:
-        n = getattr(span.sketch, "n", None)
+        n = getattr(span.row, "n", None)
         if n is None:
-            n = getattr(span.sketch, "total", 0)
+            n = getattr(span.row, "total", 0)
         total += int(n)
     return total

@@ -18,6 +18,7 @@ without instantiating anything.
 
 from __future__ import annotations
 
+import functools
 import inspect
 from dataclasses import dataclass, field
 from typing import Mapping
@@ -73,6 +74,17 @@ class SketchSpec:
     def build(self) -> Sketch:
         """A fresh, empty sketch of this specification."""
         return sketch_class(self.kind)(**self.params)
+
+    @functools.cached_property
+    def memory_words(self) -> int:
+        """``memory_words`` of a fresh sketch, from one build per spec.
+
+        A windowed store reads it when it is made, so that build also
+        runs the constructor's checks (a seed the hash family refuses
+        is refused then, not at the first ingest), and every per-key
+        store of a fleet, sharing the template spec, reuses it.
+        """
+        return self.build().memory_words
 
     @property
     def is_mergeable(self) -> bool:

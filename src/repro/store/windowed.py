@@ -3,14 +3,15 @@
 The paper's setting is *maintenance*: estimates must stay available as
 the data evolves, not just after a one-shot build.  This module adds
 the time dimension.  A :class:`WindowedSketchStore` partitions the
-timestamp axis into fixed-width buckets, keeps one sketch (of any
-registry-known kind, see :class:`~repro.store.spec.SketchSpec`) per
-non-empty bucket, and answers estimates over arbitrary bucket-aligned
-windows ``[t0, t1)`` by merging the covered bucket sketches on the
-fly.  Because mergeable sketches combine exactly (tug-of-war counters
-add — linearity), the merged window sketch is **bit-identical** to a
-monolithic sketch built over the same window, which the test suite and
-``benchmarks/bench_engine.py`` assert.
+timestamp axis into fixed-width buckets, keeps one row per bucket that
+has seen an event — a sketch of any registry-known kind (see
+:class:`~repro.store.spec.SketchSpec`), or while it is small the exact
+histogram that sketch would summarise — and answers estimates over
+arbitrary bucket-aligned windows ``[t0, t1)`` by merging the covered
+rows on the fly.  Because mergeable sketches combine exactly
+(tug-of-war counters add — linearity), the merged window sketch is
+**bit-identical** to a monolithic sketch built over the same window,
+which the test suite and ``benchmarks/bench_engine.py`` assert.
 
 Design points:
 
@@ -24,10 +25,21 @@ Design points:
   indices.  A fresh bucket is a width-one span; compaction merges old
   spans into one wide span.  Queries must cover whole spans (a sketch
   cannot be split), which is exactly the bucket-alignment rule.
+* **Sparse rows.**  A span of a linear kind whose size the spec fixes
+  (``tugofwar``, ``fk_moments``, ``f0``) starts as a
+  :class:`~repro.store.buckets.SparseRow`: the values whose net count
+  is nonzero, with those counts, 2 words per value.  After the first
+  batch that brings it to the sketch's ``memory_words`` it densifies —
+  one build and one ``update_from_frequencies`` of the histogram — and
+  holds the sketch from then on.  The counters are integers and the
+  sketch is linear, so every answer, payload and refusal is the one the
+  sketch would give.
 * **Merge-on-query.**  ``query(t0, t1)`` merges the covered span
-  sketches with :func:`repro.engine.sharded.merge_sketches` and never
-  mutates the store; single-span queries of non-mergeable kinds are
-  answered from a serialisation round-trip copy.
+  sketches with :func:`repro.engine.sharded.merge_sketches`, folds the
+  covered sparse rows into the result with one
+  ``update_from_frequencies``, and never mutates the store;
+  single-span queries of non-mergeable kinds are answered from a
+  serialisation round-trip copy.
 * **Retention.**  ``compact`` folds history older than a horizon into
   one span (still queryable as part of any window containing it);
   ``evict`` forgets it.  Both can run automatically after ingestion
@@ -35,6 +47,8 @@ Design points:
 * **Snapshot/restore.**  The whole store round-trips through
   ``to_dict`` / ``from_dict`` using the engine serialization registry,
   RNG state included, so a restored store continues bit-identically.
+  A sparse row is written as the sketch it stands for, so a restored
+  store holds sketches only.
 """
 
 from __future__ import annotations
@@ -54,10 +68,14 @@ from ..engine.registry import (
     load_sketch,
 )
 from ..engine.sharded import merge_sketches
-from .buckets import BucketLayout, BucketSpan, WindowAlignmentError
+from .buckets import BucketLayout, BucketSpan, SparseRow, WindowAlignmentError
 from .spec import SketchSpec
 
 __all__ = ["WindowedSketchStore", "WindowAlignmentError", "BucketSpan"]
+
+#: Linear kinds whose size the spec fixes: a span of one of these holds
+#: a :class:`~repro.store.buckets.SparseRow` until it outgrows the sketch.
+_SPARSE_KINDS = frozenset({"tugofwar", "fk_moments", "f0"})
 
 
 class WindowedSketchStore:
@@ -138,6 +156,10 @@ class WindowedSketchStore:
                 "retention_policy='evict'"
             )
         self.retention_policy = retention_policy
+        # Builds one sketch per spec object, which also refuses a spec
+        # whose sketches could not be built (a bad seed, say) here.
+        self._dense_words = spec.memory_words
+        self._sparse = spec.kind in _SPARSE_KINDS
         self._spans: List[BucketSpan] = []  # sorted by start, non-overlapping
 
     # ------------------------------------------------------------------
@@ -184,9 +206,52 @@ class WindowedSketchStore:
         i = bisect.bisect_right(self._spans, bucket, key=lambda s: s.start) - 1
         if i >= 0 and self._spans[i].covers(bucket):
             return self._spans[i]
-        span = BucketSpan(bucket, bucket + 1, self.spec.build())
+        span = BucketSpan(bucket, bucket + 1, self._new_row())
         self._spans.insert(i + 1, span)
         return span
+
+    # ------------------------------------------------------------------
+    # Rows: sparse until they outgrow the sketch
+    # ------------------------------------------------------------------
+    def _new_row(self) -> Sketch | SparseRow:
+        """An empty row: sparse for the linear kinds of fixed size."""
+        return SparseRow() if self._sparse else self.spec.build()
+
+    def _settle(self, row: Sketch | SparseRow) -> Sketch | SparseRow:
+        """``row``, densified if it is a sparse row as large as a sketch."""
+        if isinstance(row, SparseRow) and row.memory_words >= self._dense_words:
+            return self._fold([row])
+        return row
+
+    def _as_sketch(self, row: Sketch | SparseRow) -> Sketch:
+        """The sketch ``row`` stands for (a sketch stands for itself)."""
+        return self._fold([row]) if isinstance(row, SparseRow) else row
+
+    def _fold(self, rows: list) -> Sketch:
+        """A fresh sketch of the union of ``rows``' multisets.
+
+        The sketches merge as queries always have (a lone one with a
+        fresh build, so the result never aliases a stored row), and the
+        sparse rows then fold in with one ``update_from_frequencies`` of
+        their summed histogram (a value held by several rows is hashed
+        once); the counters are integers, so this is bit-identical to
+        merging the sketches the sparse rows stand for.
+        """
+        sketches = [r for r in rows if not isinstance(r, SparseRow)]
+        sparse = [r for r in rows if isinstance(r, SparseRow)]
+        if len(sketches) < 2:
+            sketches.insert(0, self.spec.build())
+        merged = merge_sketches(sketches)
+        if sparse:
+            pooled = SparseRow.union(sparse) if len(sparse) > 1 else sparse[0]
+            merged.update_from_frequencies(pooled.values, pooled.counts)
+        return merged
+
+    def _merge_rows(self, rows: list) -> Sketch | SparseRow:
+        """One row of the union of ``rows``: sparse while they all are."""
+        if all(isinstance(r, SparseRow) for r in rows):
+            return self._settle(SparseRow.union(rows))
+        return self._fold(rows)
 
     # ------------------------------------------------------------------
     # Ingestion
@@ -224,12 +289,13 @@ class WindowedSketchStore:
             batch as a reason to restore from the last snapshot.
         max_workers:
             If set, distinct buckets are loaded concurrently on that
-            many threads.  Mergeable kinds build a per-bucket *delta*
-            sketch and combine it with
-            :func:`~repro.engine.sharded.merge_sketches`, so the result
-            is bit-identical to the serial path; non-mergeable kinds
-            are updated in place (each bucket is touched by exactly one
-            worker, so this too matches the serial result bit for bit).
+            many threads.  Insert-only jobs of mergeable kinds load a
+            per-span *delta* row (a sparse row for the linear kinds of
+            fixed size, else a sketch) and combine it with the span's
+            row, so the result is bit-identical to the serial path;
+            other jobs update their span in place (each span is touched
+            by exactly one worker, so this too matches the serial
+            result bit for bit).
         """
         ts = np.asarray(timestamps, dtype=np.int64)
         vals = np.asarray(values, dtype=np.int64)
@@ -298,10 +364,10 @@ class WindowedSketchStore:
                     c is None or int(c.min(initial=0)) >= 0 for _, c in segments
                 )
                 if mergeable and insert_only:
-                    delta = self.spec.build()
+                    delta = self._new_row()
                     for v, c in segments:
                         self._load_into(delta, v, c)
-                    span.sketch = merge_sketches([span.sketch, delta])
+                    span.row = self._merge_rows([span.row, delta])
                 else:
                     self._load_span(span, segments)
 
@@ -310,11 +376,11 @@ class WindowedSketchStore:
         self._apply_retention()
 
     @staticmethod
-    def _load_into(sketch: Sketch, values: np.ndarray, counts) -> None:
+    def _load_into(row: Sketch | SparseRow, values: np.ndarray, counts) -> None:
         if counts is None:
-            ingest_stream(sketch, values)
+            ingest_stream(row, values)
         else:
-            sketch.update_from_frequencies(values, counts)
+            row.update_from_frequencies(values, counts)
 
     def _load_span(self, span: BucketSpan, segments: list) -> None:
         """Apply a job's segments to one span, naming it on failure.
@@ -322,22 +388,30 @@ class WindowedSketchStore:
         A sketch-level rejection (most commonly a delete routed to a
         bucket that never saw the insert) is re-raised as ``ValueError``
         with the span's timestamp range so the caller can locate the
-        offending events.  ``KeyError`` is included because the exact
-        ``frequency`` kind signals unmatched deletes that way, and
-        ``NotImplementedError`` because insertion-only kinds reject
-        deletion counts with it.
+        offending events, and a hint about deletions when the refused
+        segment carries one.  ``KeyError`` is included because the
+        exact ``frequency`` kind signals unmatched deletes that way,
+        and ``NotImplementedError`` because insertion-only kinds reject
+        deletion counts with it.  A sparse row that has grown as large
+        as a sketch densifies after its segment.
         """
         for v, c in segments:
             try:
-                self._load_into(span.sketch, v, c)
+                self._load_into(span.row, v, c)
             except (ValueError, KeyError, NotImplementedError) as exc:
                 lo, _ = self.bucket_bounds(span.start)
                 _, hi = self.bucket_bounds(span.end - 1)
                 reason = exc.args[0] if exc.args else exc
+                hint = (
+                    " (deletions must carry the timestamp of the insert "
+                    "they reverse)"
+                    if c is not None and int(c.min()) < 0
+                    else ""
+                )
                 raise ValueError(
-                    f"bucket span [{lo}, {hi}): {reason} (deletions must "
-                    "carry the timestamp of the insert they reverse)"
+                    f"bucket span [{lo}, {hi}): {reason}{hint}"
                 ) from exc
+            span.row = self._settle(span.row)
 
     def _apply_retention(self) -> None:
         if self.retention_buckets is None or not self._spans:
@@ -391,10 +465,8 @@ class WindowedSketchStore:
         if len(spans) == 1 and not self.spec.is_mergeable:
             # Detached copy through the serialization registry, so the
             # caller cannot mutate the stored bucket.
-            return load_sketch(dump_sketch(spans[0].sketch))
-        if len(spans) == 1:
-            return merge_sketches([self.spec.build(), spans[0].sketch])
-        return merge_sketches([s.sketch for s in spans])
+            return load_sketch(dump_sketch(spans[0].row))
+        return self._fold([s.row for s in spans])
 
     def estimate(self, t0: int, t1: int, align: str = "strict") -> float:
         """Self-join estimate over the window (merge-on-query)."""
@@ -428,7 +500,7 @@ class WindowedSketchStore:
         merged = BucketSpan(
             min(s.start for s in old),
             max(s.end for s in old),
-            merge_sketches([s.sketch for s in old]),
+            self._merge_rows([s.row for s in old]),
         )
         old_ids = {id(s) for s in old}
         kept = [s for s in self._spans if id(s) not in old_ids]
@@ -500,8 +572,12 @@ class WindowedSketchStore:
 
     @property
     def memory_words(self) -> int:
-        """Total storage across bucket sketches (paper cost model)."""
-        return sum(s.sketch.memory_words for s in self._spans)
+        """Words held across the spans (paper cost model).
+
+        A span holding a sketch counts the sketch's words; a sparse row
+        counts 2 per (value, count) pair it holds.
+        """
+        return sum(s.row.memory_words for s in self._spans)
 
     def __len__(self) -> int:
         return len(self._spans)
@@ -517,7 +593,12 @@ class WindowedSketchStore:
     # Snapshot / restore
     # ------------------------------------------------------------------
     def to_dict(self) -> dict:
-        """Serialise the whole store (config + every bucket sketch)."""
+        """Serialise the whole store (config + every bucket sketch).
+
+        A sparse row is written as the sketch it stands for, so the
+        payload does not depend on which spans are sparse (and a
+        restored store holds sketches only).
+        """
         return {
             "kind": "windowed-store",
             "spec": self.spec.to_dict(),
@@ -526,7 +607,8 @@ class WindowedSketchStore:
             "retention_buckets": self.retention_buckets,
             "retention_policy": self.retention_policy,
             "spans": [
-                [s.start, s.end, dump_sketch(s.sketch)] for s in self._spans
+                [s.start, s.end, dump_sketch(self._as_sketch(s.row))]
+                for s in self._spans
             ],
         }
 

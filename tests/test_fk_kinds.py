@@ -148,6 +148,19 @@ class TestVectorizedVsCanonical:
         assert sketch.estimate() == 0.0
 
 
+    @pytest.mark.parametrize("kind", sorted(FK_FACTORY))
+    def test_refused_bulk_update_changes_nothing(self, kind):
+        # More values than one scatter chunk (1,024 for fk_moments,
+        # 4,096 for f0), the last outside the hash field: the refusal
+        # must come before the first chunk lands.
+        sketch = FK_FACTORY[kind]()
+        values = np.arange(5000, dtype=np.int64)
+        values[-1] = 2147483647
+        with pytest.raises(ValueError, match="contain 2147483647"):
+            sketch.update_from_frequencies(values, np.ones_like(values))
+        assert sketch.n == 0 and not sketch.counters.any()
+
+
 class TestMerge:
     @pytest.mark.parametrize("kind", sorted(FK_FACTORY))
     def test_merge_equals_union_stream(self, kind):

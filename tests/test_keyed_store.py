@@ -111,6 +111,26 @@ class TestKeyCardinality:
         with pytest.raises(ValueError, match="max_keys"):
             make_fleet(max_keys=0)
 
+    def test_bad_seed_refused_at_construction(self):
+        spec = SketchSpec("tugofwar", {"s1": 4, "seed": -1})
+        with pytest.raises(
+            ValueError, match=r"seed must be an integer in \[0, 2\^63\), got -1"
+        ):
+            KeyedSketchStore(spec, bucket_width=10)
+
+    def test_new_keys_build_no_sketch(self, monkeypatch):
+        # The template is checked once, when the fleet is made: a new
+        # key's store and its first small buckets build nothing.
+        fleet = make_fleet()
+        builds = []
+        build = SketchSpec.build
+        monkeypatch.setattr(
+            SketchSpec, "build", lambda spec: builds.append(1) or build(spec)
+        )
+        for i in range(50):
+            fleet.ingest(f"tenant-{i}", [i, i + 10], [i, i + 1])
+        assert builds == [] and fleet.memory_words == 50 * 2 * 2
+
 
 class TestIsolationAndGeometry:
     def test_per_key_matches_dedicated_store(self):

@@ -103,10 +103,17 @@ class TestCatalogManagement:
         with pytest.raises(UnknownRelationError):
             catalog.drop("nope")
 
-    def test_memory_and_k(self, catalog):
+    def test_memory_and_k(self, catalog, tuples):
         assert catalog.k == 640
-        # 2 relations x 10 buckets x 640 words
-        assert catalog.memory_words == 2 * 10 * 640
+        # 2 relations x 10 buckets, each holding its 40 distinct values
+        # as (value, count) pairs: 80 words, below the 640-word sketch.
+        distinct = [
+            np.unique(values[ts // 10 == b]).size
+            for ts, values in tuples.values()
+            for b in range(10)
+        ]
+        assert catalog.memory_words == sum(2 * d for d in distinct)
+        assert catalog.memory_words == 2 * 10 * 80
 
     def test_store_access_for_retention(self, catalog, tuples):
         full = catalog.join_estimate("A", "B", 0, 100)
@@ -142,6 +149,12 @@ class TestCatalogManagement:
         with pytest.raises(ValueError, match="retention_buckets"):
             WindowedSignatureCatalog(k=16, bucket_width=10, retention_buckets=0)
 
+    def test_bad_seed_refused_at_construction(self):
+        with pytest.raises(
+            ValueError, match=r"seed must be an integer in \[0, 2\^63\), got -1"
+        ):
+            WindowedSignatureCatalog(k=16, bucket_width=10, seed=-1)
+
     def test_k_reports_actual_allocation(self):
         # A k that is not a multiple of s2 drops the remainder words;
         # the property reports what was actually allocated.
@@ -149,7 +162,11 @@ class TestCatalogManagement:
         assert cat.k == 640
         cat.register("A")
         cat.ingest("A", [5], [1])
-        assert cat.memory_words == 640
+        assert cat.memory_words == 2  # one held (value, count) pair
+        # 320 distinct values fill a bucket's 640 allocated words, and
+        # it holds the sketch from then on.
+        cat.ingest("A", [15] * 320, range(320))
+        assert cat.memory_words == 2 + 640
 
     def test_default_seed_still_merges_and_joins(self, tuples):
         # With no explicit seed the spec pins fresh entropy once, so

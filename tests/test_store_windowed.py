@@ -16,8 +16,9 @@ import pytest
 from repro.core.frequency import FrequencyVector, self_join_size
 from repro.core.tugofwar import TugOfWarSketch
 from repro.engine import MergeUnsupportedError, SketchPayloadError
-from repro.engine.registry import UnknownSketchKindError
+from repro.engine.registry import UnknownSketchKindError, dump_sketch
 from repro.store import SketchSpec, WindowAlignmentError, WindowedSketchStore
+from repro.store.buckets import SparseRow
 
 TW_SPEC = SketchSpec("tugofwar", {"s1": 32, "s2": 3, "seed": 7})
 
@@ -232,6 +233,15 @@ class TestRoutingAndWindows:
             WindowedSketchStore(TW_SPEC, bucket_width=1, retention_buckets=0)
         with pytest.raises(TypeError, match="SketchSpec"):
             WindowedSketchStore("tugofwar", bucket_width=1)
+
+    def test_bad_seed_refused_at_construction(self):
+        # Not at the first ingest, which may come long after (and which
+        # a store of sparse rows would pass without building a sketch).
+        spec = SketchSpec("tugofwar", {"s1": 4, "seed": -1})
+        with pytest.raises(
+            ValueError, match=r"seed must be an integer in \[0, 2\^63\), got -1"
+        ):
+            WindowedSketchStore(spec, bucket_width=10)
 
 
 class TestAlignment:
@@ -490,6 +500,185 @@ class TestIntrospection:
         assert store.coverage is None and len(store) == 0
         store.ingest(ts, values)
         assert store.spans[0] == (0, 10) and store.spans[-1] == (190, 200)
-        assert store.memory_words == 20 * 32 * 3
+        # A bucket holds its exact histogram, 2 words per distinct value,
+        # until that reaches the 32x3 sketch's 96 words; on this fixture
+        # the 20 buckets come to 1,918 words.
+        distinct = [np.unique(values[ts // 10 == b]).size for b in range(20)]
+        assert store.memory_words == sum(min(2 * d, 96) for d in distinct)
+        assert store.memory_words == 1918
         assert store.bucket_of(0) == 0 and store.bucket_of(-1) == -1
         assert store.bucket_bounds(3) == (30, 40)
+
+
+def sparse_rows(store) -> int:
+    """How many of the store's spans hold a sparse row."""
+    return sum(isinstance(span.row, SparseRow) for span in store._spans)
+
+
+def dense_store(spec=TW_SPEC) -> WindowedSketchStore:
+    """A store whose bucket [0, 10) already holds its sketch."""
+    store = WindowedSketchStore(spec, bucket_width=10)
+    store.ingest([1] * 60, range(60))
+    assert sparse_rows(store) == 0
+    return store
+
+
+#: One small spec per linear kind of fixed size: 24 words each, so a
+#: bucket holds its histogram until it has 12 distinct values.
+SPARSE_SPECS = [
+    SketchSpec("tugofwar", {"s1": 8, "s2": 3, "seed": 3}),
+    SketchSpec("fk_moments", {"k": 3, "s1": 4, "s2": 2, "seed": 3}),
+    SketchSpec("f0", {"s1": 8, "s2": 3, "seed": 3}),
+]
+
+
+class TestSparseRows:
+    """A bucket of a linear kind keeps its exact (value, count) histogram
+    until 2 words per value reach the sketch's words (TW_SPEC: 96)."""
+
+    def test_small_bucket_holds_two_words_per_value(self):
+        store = WindowedSketchStore(TW_SPEC, bucket_width=10)
+        store.ingest([1, 2, 3, 4], [5, 6, 5, 7])
+        assert store.memory_words == 6 and sparse_rows(store) == 1
+        store.ingest([5], [6], counts=[-1])  # 6's net count is 0: dropped
+        assert store.memory_words == 4
+        assert store.query(0, 10).n == 3
+
+    def test_densifies_once_as_large_as_the_sketch_and_stays(self):
+        store = WindowedSketchStore(TW_SPEC, bucket_width=10)
+        store.ingest([1] * 47, range(47))
+        assert store.memory_words == 94 and sparse_rows(store) == 1
+        store.ingest([1], [47])
+        assert store.memory_words == 96 and sparse_rows(store) == 0
+        store.ingest([1] * 48, range(48), counts=[-1] * 48)
+        assert store.memory_words == 96 and store.query(0, 10).n == 0
+
+    @pytest.mark.parametrize("spec", SPARSE_SPECS, ids=lambda s: s.kind)
+    def test_answers_and_payload_bit_identical_to_sketches(self, spec, rng):
+        # Signed, out-of-order batches: some buckets stay sparse, some
+        # densify; every bucket and window must answer as the sketch of
+        # its net histogram, and the payload must be that sketch's.
+        store = WindowedSketchStore(spec, bucket_width=10)
+        ts = rng.integers(0, 80, size=400)
+        values = rng.integers(0, np.where(ts < 40, 6, 60))
+        store.ingest(ts, values)
+        store.ingest(ts[:50], values[:50], counts=np.full(50, -1))
+        assert 0 < sparse_rows(store) < store.span_count
+
+        def reference(lo, hi):
+            sketch = spec.build()
+            sel = (ts >= lo) & (ts < hi)
+            counts = np.where(np.arange(ts.size) < 50, 0, 1)[sel]
+            sketch.update_from_frequencies(values[sel], counts)
+            return sketch
+
+        payload = store.to_dict()
+        for start, end, dumped in payload["spans"]:
+            assert dumped == dump_sketch(reference(start * 10, end * 10))
+        for lo, hi in ((0, 80), (30, 50), (0, 10), (70, 80)):
+            got, want = store.query(lo, hi), reference(lo, hi)
+            assert got.n == want.n
+            assert np.array_equal(got.counters, want.counters)
+        assert sum(store.query(b * 10, b * 10 + 10).n for b in range(8)) == 350
+
+    def test_compaction_over_mixed_rows_is_exact(self, rng):
+        spec = SPARSE_SPECS[0]
+        store = WindowedSketchStore(spec, bucket_width=10)
+        ts = rng.integers(0, 60, size=300)
+        values = rng.integers(0, np.where(ts < 30, 5, 40))
+        store.ingest(ts, values)
+        assert 0 < sparse_rows(store) < store.span_count
+        whole = store.query(0, 60)
+        store.compact(before=30)  # only sparse rows: the result may stay sparse
+        store.compact()  # a dense row among them: the result is a sketch
+        assert store.span_count == 1 and sparse_rows(store) == 0
+        got = store.query(0, 60)
+        assert got.n == whole.n and np.array_equal(got.counters, whole.counters)
+
+    def test_compacting_small_rows_keeps_them_sparse(self):
+        store = WindowedSketchStore(TW_SPEC, bucket_width=10)
+        store.ingest([1, 11, 21], [4, 4, 9])
+        store.compact()
+        assert store.bucket_spans == [(0, 3)] and sparse_rows(store) == 1
+        assert store.memory_words == 4 and store.query(0, 30).n == 3
+
+    @pytest.mark.parametrize("spec", SPARSE_SPECS, ids=lambda s: s.kind)
+    def test_threaded_ingest_matches_serial(self, spec, rng):
+        ts = rng.integers(0, 80, size=600)
+        values = rng.integers(0, np.where(ts < 40, 6, 60))
+        serial = WindowedSketchStore(spec, bucket_width=10)
+        threaded = WindowedSketchStore(spec, bucket_width=10)
+        for lo in range(0, 600, 150):
+            batch = slice(lo, lo + 150)
+            serial.ingest(ts[batch], values[batch])
+            threaded.ingest(ts[batch], values[batch], max_workers=3)
+        assert threaded.to_dict() == serial.to_dict()
+        assert threaded.memory_words == serial.memory_words
+
+    def test_restore_holds_sketches(self, events):
+        ts, values = events
+        store = WindowedSketchStore(TW_SPEC, bucket_width=10)
+        store.ingest(ts, values)
+        assert sparse_rows(store) > 0
+        restored = WindowedSketchStore.from_dict(store.to_dict())
+        assert sparse_rows(restored) == 0
+        assert restored.memory_words == store.span_count * 96
+        assert restored.to_dict() == store.to_dict()
+
+    def test_refusals_match_the_sketch_and_change_nothing(self):
+        messages = []
+        for store in (WindowedSketchStore(TW_SPEC, bucket_width=10), dense_store()):
+            store.ingest([2], [70])
+            before = store.to_dict()
+            refused = []
+            for batch in (
+                ([3, 4], [5, -1], None),
+                ([3, 4], [2147483647, 5], [1, 1]),
+                ([3], [5], [-1000]),
+            ):
+                with pytest.raises(ValueError) as info:
+                    store.ingest(*batch[:2], counts=batch[2])
+                refused.append(str(info.value))
+            assert store.to_dict() == before
+            messages.append(refused)
+        assert messages[0] == messages[1]
+
+    def test_refused_multi_chunk_batch_changes_nothing(self):
+        # 2,000 distinct values fill two 1,024-value scatter chunks and
+        # the last is outside the field: no chunk may land, in a dense
+        # bucket or a fresh one.
+        spec = SPARSE_SPECS[0]
+        store = dense_store(spec)
+        values = np.arange(2000)
+        values[-1] = 2147483647
+        before = store.query(0, 10)
+        for t in (0, 10):
+            with pytest.raises(ValueError, match="contain 2147483647"):
+                store.ingest(np.full(2000, t), values)
+        after = store.query(0, 10)
+        assert after.n == before.n
+        assert np.array_equal(after.counters, before.counters)
+        fresh = store.query(10, 20)
+        assert fresh.n == 0 and not fresh.counters.any()
+
+    @pytest.mark.parametrize("counts", [None, [1, 2]], ids=["stream", "counted"])
+    @pytest.mark.parametrize("dense", [False, True], ids=["sparse", "dense"])
+    def test_field_refusal_carries_no_deletion_hint(self, counts, dense):
+        store = dense_store() if dense else WindowedSketchStore(TW_SPEC, 10)
+        with pytest.raises(ValueError) as info:
+            store.ingest([3, 4], [5, -1], counts=counts)
+        assert str(info.value) == (
+            "bucket span [0, 10): values contain -1, outside the field "
+            "[0, 2147483647)"
+        )
+
+    @pytest.mark.parametrize("dense", [False, True], ids=["sparse", "dense"])
+    def test_refused_deletion_keeps_the_hint(self, dense):
+        store = dense_store() if dense else WindowedSketchStore(TW_SPEC, 10)
+        with pytest.raises(ValueError) as info:
+            store.ingest([15], [7], counts=[-1])
+        assert str(info.value) == (
+            "bucket span [10, 20): batch would make the multiset size "
+            "negative (deletions must carry the timestamp of the insert "
+            "they reverse)"
+        )

@@ -67,6 +67,17 @@ class TestLinearity:
         assert np.array_equal(sk.counters, before)
         assert sk.n == 2
 
+    def test_refused_bulk_update_changes_nothing(self):
+        # 2,000 values fill two 1,024-value scatter chunks and the last
+        # is outside the hash field: no chunk may land before the
+        # refusal.
+        sk = TugOfWarSketch(s1=8, s2=3, seed=1)
+        values = np.arange(2000, dtype=np.int64)
+        values[-1] = 2147483647
+        with pytest.raises(ValueError, match="contain 2147483647"):
+            sk.update_from_frequencies(values, np.ones_like(values))
+        assert sk.n == 0 and not sk.counters.any()
+
     def test_batch_equals_elementwise(self, small_stream):
         a = loaded(small_stream, seed=11)
         b = TugOfWarSketch(s1=64, s2=5, seed=11)
