@@ -68,6 +68,7 @@ class DistinctCountSketch(Sketch):
 
     kind = "f0"
     is_linear = True  # occupancy counters are a linear map of frequencies
+    is_fixed_size = True  # s1 * s2 counters, whatever the data
     describe = (
         "deletion-safe linear-counting sketch for the distinct count "
         "F_0; mergeable under strict-turnstile streams"

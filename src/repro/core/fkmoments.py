@@ -85,6 +85,7 @@ class FkMomentSketch(Sketch):
 
     kind = "fk_moments"
     is_linear = True  # integer counters are a linear map of frequencies
+    is_fixed_size = True  # k * s1 * s2 counters, whatever the data
     describe = (
         "roots-of-unity linear sketch for one fixed frequency moment "
         "F_k; mergeable, deletion-exact"

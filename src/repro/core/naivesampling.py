@@ -90,6 +90,7 @@ class NaiveSamplingEstimator(Sketch):
     """
 
     kind = "naivesampling"
+    is_fixed_size = True  # s sample slots, whatever the data
     describe = (
         "scale-up-the-sample self-join baseline (Section 3 straw man); "
         "insertion-only, not mergeable"

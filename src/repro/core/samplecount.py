@@ -120,6 +120,7 @@ class SampleCountSketch(Sketch):
     """
 
     kind = "samplecount"
+    is_fixed_size = True  # s sample slots, whatever the data
     describe = (
         "AMS sample-count tracker for the self-join size F_2 "
         "(position-sampled; insert/delete, not mergeable)"

@@ -90,6 +90,7 @@ class TugOfWarSketch(Sketch):
 
     kind = "tugofwar"
     is_linear = True  # state is a linear map of the frequency vector
+    is_fixed_size = True  # s1 * s2 counters, whatever the data
     describe = (
         "AMS tug-of-war linear sketch for the self-join size F_2; "
         "mergeable, deletion-exact"

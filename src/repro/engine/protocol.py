@@ -20,7 +20,7 @@ sketch folds a whole histogram in with chunked matrix products;
 sample-count walks a stream in vectorised segments between reservoir
 events; naive-sampling advances its reservoir by skip arithmetic).
 
-Two class-level attributes describe a sketch's algebra:
+Three class-level attributes describe a sketch's algebra:
 
 ``kind``
     The registry key under which the sketch serialises (``None`` for
@@ -31,6 +31,11 @@ Two class-level attributes describe a sketch's algebra:
     signed histogram and applied in any order with bit-identical
     results.  The ingestion pipeline keys its batching strategy off
     this flag.
+``is_fixed_size``
+    True when ``memory_words`` is set by the constructor's parameters
+    alone, whatever the data.  A windowed store holds a small bucket of
+    a linear sketch of fixed size as its exact histogram instead (see
+    :mod:`repro.store.windowed`).
 """
 
 from __future__ import annotations
@@ -129,6 +134,9 @@ class Sketch(abc.ABC):
 
     #: Whether the sketch is a linear function of the frequency vector.
     is_linear: bool = False
+
+    #: Whether ``memory_words`` is set by the parameters, not the data.
+    is_fixed_size: bool = False
 
     #: Optional one-line human description surfaced by the registry
     #: (``repro sketch kinds``); concrete sketches override it.

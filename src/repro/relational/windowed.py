@@ -208,7 +208,8 @@ class WindowedSignatureCatalog:
 
         A bucket counts its sketch's :attr:`k` words once it holds the
         sketch, and 2 per distinct value while it holds the exact
-        histogram (fewer than ``k / 2`` values).
+        histogram (fewer than ``k / 2`` values, and fewer than
+        ``5120 / k``: 8 at ``k = 640``).
         """
         return sum(store.memory_words for store in self._stores.values())
 

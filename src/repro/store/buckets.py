@@ -43,8 +43,8 @@ class SparseRow:
     span that has seen few distinct values can hold the values whose
     net count is nonzero, with those counts, in 2 words per value; one
     ``update_from_frequencies`` of that histogram into a fresh sketch
-    gives back its counters bit for bit.  The row takes a sketch's two
-    bulk updates and refuses what the sketch's own would refuse — a
+    gives back its counters bit for bit.  The row takes a sketch's
+    histogram update and refuses what the sketch's own would refuse — a
     batch that would make ``n`` negative, or a value outside the hash
     field — with the same message, before anything changes.
     """
@@ -85,12 +85,6 @@ class SparseRow:
             np.concatenate((self.counts, cnts)),
         )
         self.n += total
-
-    def update_from_stream(self, values: np.ndarray | Iterable[int]) -> None:
-        """Add an insertion-only stream via its histogram, as a sketch does."""
-        arr = np.asarray(values, dtype=np.int64)
-        if arr.size:
-            self.update_from_frequencies(*np.unique(arr, return_counts=True))
 
 
 def _net(values: np.ndarray, counts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

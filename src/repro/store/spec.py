@@ -11,9 +11,9 @@ combine them.
 :class:`SketchSpec` captures that configuration as data: a registry
 ``kind`` (see :mod:`repro.engine.registry`) plus the keyword arguments
 of the sketch's constructor.  It is the unit of store configuration,
-serialises alongside the buckets, and answers the two algebraic
-questions the store routes on (``is_linear``, ``is_mergeable``)
-without instantiating anything.
+serialises alongside the buckets, and answers the algebraic
+questions the store routes on (``is_linear``, ``is_mergeable``,
+``is_fixed_size``) without instantiating anything.
 """
 
 from __future__ import annotations
@@ -95,6 +95,11 @@ class SketchSpec:
     def is_linear(self) -> bool:
         """Whether the sketch state is linear in the frequency vector."""
         return bool(sketch_class(self.kind).is_linear)
+
+    @property
+    def is_fixed_size(self) -> bool:
+        """Whether ``memory_words`` is set by the params, not the data."""
+        return bool(sketch_class(self.kind).is_fixed_size)
 
     def to_dict(self) -> dict:
         """Serialise the spec to a JSON-compatible payload."""

@@ -26,14 +26,15 @@ Design points:
   spans into one wide span.  Queries must cover whole spans (a sketch
   cannot be split), which is exactly the bucket-alignment rule.
 * **Sparse rows.**  A span of a linear kind whose size the spec fixes
-  (``tugofwar``, ``fk_moments``, ``f0``) starts as a
-  :class:`~repro.store.buckets.SparseRow`: the values whose net count
-  is nonzero, with those counts, 2 words per value.  After the first
-  batch that brings it to the sketch's ``memory_words`` it densifies —
-  one build and one ``update_from_frequencies`` of the histogram — and
-  holds the sketch from then on.  The counters are integers and the
-  sketch is linear, so every answer, payload and refusal is the one the
-  sketch would give.
+  (``is_linear`` and ``is_fixed_size``: ``tugofwar``, ``fk_moments``,
+  ``f0``) starts as a :class:`~repro.store.buckets.SparseRow`: the
+  values whose net count is nonzero, with those counts, 2 words per
+  value.  It densifies — one build and one ``update_from_frequencies``
+  of the histogram — after the first batch that brings it to the
+  sketch's ``memory_words``, or that makes folding it into a query
+  cost ``_FOLD_BUDGET`` counter updates, and holds the sketch from
+  then on.  The counters are integers and the sketch is linear, so
+  every answer, payload and refusal is the one the sketch would give.
 * **Merge-on-query.**  ``query(t0, t1)`` merges the covered span
   sketches with :func:`repro.engine.sharded.merge_sketches`, folds the
   covered sparse rows into the result with one
@@ -73,9 +74,14 @@ from .spec import SketchSpec
 
 __all__ = ["WindowedSketchStore", "WindowAlignmentError", "BucketSpan"]
 
-#: Linear kinds whose size the spec fixes: a span of one of these holds
-#: a :class:`~repro.store.buckets.SparseRow` until it outgrows the sketch.
-_SPARSE_KINDS = frozenset({"tugofwar", "fk_moments", "f0"})
+#: Counter updates a query miss may spend folding one sparse row.
+#: Folding ``v`` values into a sketch of ``w`` words updates ``v * w``
+#: counters, where a dense row costs one merge of ``w`` additions; a
+#: row densifies once ``v * w`` reaches the budget (16 values at 64x5,
+#: 4 at 256x5, none from 5,120 words up).  On the cffi kernels a counter
+#: update takes ~1.5 ns and a dense merge ~2.5 us per row, so a sparse
+#: row folds in about the time of three dense merges.
+_FOLD_BUDGET = 5_120
 
 
 class WindowedSketchStore:
@@ -158,8 +164,15 @@ class WindowedSketchStore:
         self.retention_policy = retention_policy
         # Builds one sketch per spec object, which also refuses a spec
         # whose sketches could not be built (a bad seed, say) here.
-        self._dense_words = spec.memory_words
-        self._sparse = spec.kind in _SPARSE_KINDS
+        words = spec.memory_words
+        # Held values at which a sparse row densifies: when its pairs
+        # take the sketch's words, or its fold the whole budget.
+        self._densify_at = min(
+            -(-words // 2), -(-_FOLD_BUDGET // max(words, 1))
+        )
+        self._sparse = (
+            spec.is_linear and spec.is_fixed_size and self._densify_at > 1
+        )
         self._spans: List[BucketSpan] = []  # sorted by start, non-overlapping
 
     # ------------------------------------------------------------------
@@ -211,15 +224,15 @@ class WindowedSketchStore:
         return span
 
     # ------------------------------------------------------------------
-    # Rows: sparse until they outgrow the sketch
+    # Rows: sparse until they are too big to hold or to fold
     # ------------------------------------------------------------------
     def _new_row(self) -> Sketch | SparseRow:
         """An empty row: sparse for the linear kinds of fixed size."""
         return SparseRow() if self._sparse else self.spec.build()
 
     def _settle(self, row: Sketch | SparseRow) -> Sketch | SparseRow:
-        """``row``, densified if it is a sparse row as large as a sketch."""
-        if isinstance(row, SparseRow) and row.memory_words >= self._dense_words:
+        """``row``, densified if it is a sparse row that has grown too big."""
+        if isinstance(row, SparseRow) and row.values.size >= self._densify_at:
             return self._fold([row])
         return row
 
@@ -366,7 +379,7 @@ class WindowedSketchStore:
                 if mergeable and insert_only:
                     delta = self._new_row()
                     for v, c in segments:
-                        self._load_into(delta, v, c)
+                        delta = self._load_into(delta, v, c)
                     span.row = self._merge_rows([span.row, delta])
                 else:
                     self._load_span(span, segments)
@@ -375,12 +388,28 @@ class WindowedSketchStore:
                 list(pool.map(run, jobs.values()))
         self._apply_retention()
 
-    @staticmethod
-    def _load_into(row: Sketch | SparseRow, values: np.ndarray, counts) -> None:
+    def _load_into(
+        self, row: Sketch | SparseRow, values: np.ndarray, counts
+    ) -> Sketch | SparseRow:
+        """Apply one segment to ``row``; returns the row that now holds it.
+
+        A sparse row that has grown too big comes back as its sketch.  A
+        stream is hashed into its histogram once: when an empty sparse
+        row's first stream already holds too many values, a fresh sketch
+        takes the histogram in its place.
+        """
+        if not isinstance(row, SparseRow):
+            if counts is None:
+                ingest_stream(row, values)
+            else:
+                row.update_from_frequencies(values, counts)
+            return row
         if counts is None:
-            ingest_stream(row, values)
-        else:
-            row.update_from_frequencies(values, counts)
+            values, counts = np.unique(values, return_counts=True)
+            if not row.values.size and values.size >= self._densify_at:
+                row = self.spec.build()
+        row.update_from_frequencies(values, counts)
+        return self._settle(row)
 
     def _load_span(self, span: BucketSpan, segments: list) -> None:
         """Apply a job's segments to one span, naming it on failure.
@@ -392,12 +421,12 @@ class WindowedSketchStore:
         segment carries one.  ``KeyError`` is included because the
         exact ``frequency`` kind signals unmatched deletes that way,
         and ``NotImplementedError`` because insertion-only kinds reject
-        deletion counts with it.  A sparse row that has grown as large
-        as a sketch densifies after its segment.
+        deletion counts with it.  A sparse row that has grown too big
+        densifies after its segment.
         """
         for v, c in segments:
             try:
-                self._load_into(span.row, v, c)
+                span.row = self._load_into(span.row, v, c)
             except (ValueError, KeyError, NotImplementedError) as exc:
                 lo, _ = self.bucket_bounds(span.start)
                 _, hi = self.bucket_bounds(span.end - 1)
@@ -411,7 +440,6 @@ class WindowedSketchStore:
                 raise ValueError(
                     f"bucket span [{lo}, {hi}): {reason}{hint}"
                 ) from exc
-            span.row = self._settle(span.row)
 
     def _apply_retention(self) -> None:
         if self.retention_buckets is None or not self._spans:
@@ -575,7 +603,9 @@ class WindowedSketchStore:
         """Words held across the spans (paper cost model).
 
         A span holding a sketch counts the sketch's words; a sparse row
-        counts 2 per (value, count) pair it holds.
+        counts 2 per (value, count) pair it holds.  A store restored by
+        :meth:`from_dict` holds sketches only, so it reports the full
+        sketch words for every span.
         """
         return sum(s.row.memory_words for s in self._spans)
 

@@ -131,6 +131,21 @@ class TestKeyCardinality:
             fleet.ingest(f"tenant-{i}", [i, i + 10], [i, i + 1])
         assert builds == [] and fleet.memory_words == 50 * 2 * 2
 
+    def test_restore_holds_every_row_dense(self):
+        # A snapshot writes each sparse row as the sketch it stands for:
+        # the restored fleet answers and serialises the same, but holds
+        # the full 48 words in each of its 2 x 5 rows.
+        fleet = make_fleet()
+        for i in range(5):
+            fleet.ingest(f"tenant-{i}", [i, i + 10], [i, i + 1])
+        restored = KeyedSketchStore.from_dict(fleet.to_dict())
+        assert fleet.memory_words == 5 * 2 * 2
+        assert restored.memory_words == 5 * 2 * SPEC.memory_words == 480
+        assert restored.to_dict() == fleet.to_dict()
+        for key in fleet.keys:
+            got, want = restored.query(key, 0, 20), fleet.query(key, 0, 20)
+            assert np.array_equal(got.counters, want.counters)
+
 
 class TestIsolationAndGeometry:
     def test_per_key_matches_dedicated_store(self):

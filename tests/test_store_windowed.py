@@ -553,6 +553,43 @@ class TestSparseRows:
         store.ingest([1] * 48, range(48), counts=[-1] * 48)
         assert store.memory_words == 96 and store.query(0, 10).n == 0
 
+    @pytest.mark.parametrize(
+        "spec, densify_at",
+        [
+            # Folding v values updates v x words counters: a row densifies
+            # at 5,120 of them, or when its pairs take the sketch's words.
+            (SketchSpec("tugofwar", {"s1": 64, "s2": 5, "seed": 3}), 16),
+            (SketchSpec("tugofwar", {"s1": 256, "s2": 5, "seed": 3}), 4),
+            (SketchSpec("fk_moments", {"k": 3, "s1": 64, "s2": 5, "seed": 3}), 6),
+            (TW_SPEC, 48),  # 96 words: the words bind first
+            (SketchSpec("tugofwar", {"s1": 1024, "s2": 5, "seed": 3}), 1),
+        ],
+        ids=["64x5", "256x5", "fk-3x64x5", "32x3", "1024x5"],
+    )
+    def test_densifies_when_too_big_to_hold_or_to_fold(self, spec, densify_at):
+        store = WindowedSketchStore(spec, bucket_width=10)
+        store.ingest([1] * (densify_at - 1), range(densify_at - 1))
+        assert store.memory_words == 2 * (densify_at - 1)
+        store.ingest([1], [densify_at - 1])
+        assert store.memory_words == spec.memory_words
+        assert sparse_rows(store) == 0
+
+    def test_sparse_rows_follow_the_sketch_class(self, monkeypatch):
+        # The store reads "linear, of fixed size" off the sketch class
+        # through the spec: frequency (sized by its data) and samplecount
+        # (not linear) keep their sketches.
+        for spec in (
+            SketchSpec("frequency"),
+            SketchSpec("samplecount", {"s1": 4, "s2": 2, "seed": 1}),
+        ):
+            store = WindowedSketchStore(spec, bucket_width=10)
+            store.ingest([1], [5])
+            assert sparse_rows(store) == 0
+        monkeypatch.setattr(TugOfWarSketch, "is_fixed_size", False)
+        store = WindowedSketchStore(TW_SPEC, bucket_width=10)
+        store.ingest([1], [5])
+        assert sparse_rows(store) == 0 and store.memory_words == 96
+
     @pytest.mark.parametrize("spec", SPARSE_SPECS, ids=lambda s: s.kind)
     def test_answers_and_payload_bit_identical_to_sketches(self, spec, rng):
         # Signed, out-of-order batches: some buckets stay sparse, some
