@@ -13,12 +13,13 @@ Measures, on one synthetic Zipf stream:
    bulk offers (reservoirs must match bit for bit);
 4. **windowed store** — timestamped ingestion throughput (serial and
    threaded) into a time-bucketed store plus merge-on-query latency
-   over growing windows, with every windowed estimate checked
-   **bit-identical** against a monolithic sketch of the same window;
+   over growing windows (the median of 21 individually timed calls),
+   with every windowed estimate checked **bit-identical** against a
+   monolithic sketch of the same window;
 5. **estimation service** — a load generator against
    :class:`repro.service.SketchService`: cold (merge-on-query) vs
    cached merged-window estimate latency (p50/p99), then query
-   throughput under multi-threaded ingest+query churn, with the final
+   latency under multi-threaded ingest+query churn, with the final
    concurrent state checked **bit-identical** against a serial replay;
 6. **query planner** — DP enumeration scaling over chain/star/clique
    join graphs up to n = 12 relations (must stay sub-second, with
@@ -104,6 +105,7 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import statistics
 import sys
 import threading
 import time
@@ -238,7 +240,6 @@ def service_section(args, n: int) -> tuple[list[str], dict]:
         for i in range(n_readers)
     ]
     writers = [threading.Thread(target=writer, args=(b,)) for b in writer_batches]
-    start = time.perf_counter()
     for t in readers + writers:
         t.start()
     for t in writers:
@@ -246,12 +247,10 @@ def service_section(args, n: int) -> tuple[list[str], dict]:
     stop.set()
     for t in readers:
         t.join()
-    elapsed = time.perf_counter() - start
     all_latencies = [t for bucket in latencies for t in bucket]
     churn_p50, churn_p99 = percentiles(all_latencies)
-    qps = len(all_latencies) / elapsed if elapsed else float("inf")
     print(f"  under ingest churn    p50 {churn_p50:9.4f} ms   p99 {churn_p99:9.4f} ms"
-          f"   ({qps:,.0f} queries/s, {n_readers} readers, {n_writers} writers)")
+          f"   ({n_readers} readers, {n_writers} writers)")
     if errors:
         failures.append(f"service: concurrent run raised {errors[0]!r}")
 
@@ -280,7 +279,6 @@ def service_section(args, n: int) -> tuple[list[str], dict]:
         "cached_speedup": ratio,
         "churn_p50_ms": churn_p50,
         "churn_p99_ms": churn_p99,
-        "churn_queries_per_s": qps,
     }
     return failures, metrics
 
@@ -1558,11 +1556,11 @@ def main(argv=None) -> int:
 
     query_latencies: dict[str, float] = {}
     for b0, b1 in ((0, 1), (16, 48), (0, num_buckets)):
-        repeats = 5
-        start = time.perf_counter()
-        for _ in range(repeats):
-            window = store.query(b0, b1)
-        latency_ms = (time.perf_counter() - start) / repeats * 1e3
+        # Each call timed on its own; the median shrugs off the calls a
+        # GC pause or a scheduler tick lands on.
+        calls = [timed(lambda: store.query(b0, b1)) for _ in range(21)]
+        latency_ms = statistics.median(t for t, _ in calls) * 1e3
+        window = calls[-1][1]
         query_latencies[f"[{b0},{b1})"] = latency_ms
         mono = tw()
         mono.update_from_stream(stream[(timestamps >= b0) & (timestamps < b1)])

@@ -18,31 +18,27 @@ median across repetitions.
 
 The state is an integer linear map of the frequency vector, so merge
 is element-wise counter addition — bit-identical to the monolithic
-build — and the sketch inherits windowing, compaction, and cluster
+build, and :class:`~repro.core.linear.LinearSketch`'s like every
+update — and the sketch inherits windowing, compaction, and cluster
 scatter–gather for free.
 """
 
 from __future__ import annotations
 
 import math
-from typing import Iterable
 
 import numpy as np
 
-from ..engine.protocol import Sketch, as_histogram
 from ..engine.registry import register_sketch
-from ..kernels.dispatch import _as_domain_values
 from .estimators import group_shape_for
 from .hashing import PolynomialHashFamily
+from .linear import LinearSketch
 
 __all__ = ["DistinctCountSketch"]
 
-#: Chunk width for batch updates (see the tug-of-war sketch).
-_BATCH_CHUNK = 4096
-
 
 @register_sketch
-class DistinctCountSketch(Sketch):
+class DistinctCountSketch(LinearSketch):
     """Tracks the number of distinct live values (F_0) under updates.
 
     Parameters
@@ -67,86 +63,29 @@ class DistinctCountSketch(Sketch):
     """
 
     kind = "f0"
-    is_linear = True  # occupancy counters are a linear map of frequencies
-    is_fixed_size = True  # s1 * s2 counters, whatever the data
     describe = (
         "deletion-safe linear-counting sketch for the distinct count "
         "F_0; mergeable under strict-turnstile streams"
     )
 
-    __slots__ = ("s1", "s2", "_buckets", "_c", "_n")
+    _chunk = 4096  # its (s2, chunk) bucket matrix has only s2 rows
+    __slots__ = ()
 
     def __init__(self, s1: int = 256, s2: int = 1, seed: int | None = None):
         self.s1, self.s2 = group_shape_for(s1, s2)
-        self._buckets = PolynomialHashFamily(self.s2, independence=4, seed=seed)
+        self._family = PolynomialHashFamily(self.s2, independence=4, seed=seed)
         self._c = np.zeros((self.s2, self.s1), dtype=np.int64)
         self._n = 0
 
-    # ------------------------------------------------------------------
-    # Updates (O(s2) per operation)
-    # ------------------------------------------------------------------
-    def insert(self, value: int) -> None:
-        """Process insert(v): bump v's occupancy bucket in every rep."""
-        self.update(value, 1)
+    def _scatter(self, values: np.ndarray, counts: np.ndarray) -> None:
+        """Scatter-add the counts into each repetition's buckets."""
+        buckets = self._family.hash_many(values) % self.s1  # (s2, m)
+        for rep in range(self.s2):
+            np.add.at(self._c[rep], buckets[rep].astype(np.intp), counts)
 
-    def delete(self, value: int) -> None:
-        """Process delete(v): exact inverse of :meth:`insert`.
-
-        Correctness of the zero-bucket test needs the stream to stay
-        strict-turnstile (net frequency of every value >= 0); like the
-        other linear sketches this is the caller's contract and only
-        the aggregate size is guarded here.
-        """
-        if self._n <= 0:
-            raise ValueError("cannot delete from an empty multiset")
-        self.update(value, -1)
-
-    def update(self, value: int, count: int) -> None:
-        """Fold ``count`` occurrences of ``value`` in at once."""
-        c = int(count)
-        if c == 0:
-            return
-        if self._n + c < 0:
-            raise ValueError(
-                f"deleting {-c} occurrences would make the multiset size negative"
-            )
-        buckets = (self._buckets.hash_one(value) % self.s1).astype(np.intp)
-        self._c[np.arange(self.s2), buckets] += np.int64(c)
-        self._n += c
-
-    def update_from_frequencies(
-        self, values: np.ndarray | Iterable[int], counts: np.ndarray | Iterable[int]
-    ) -> None:
-        """Fold a whole (possibly signed) frequency histogram in.
-
-        Vectorised via ``np.add.at`` scatter-adds per repetition;
-        integer addition commutes, so the result is bit-identical to
-        the equivalent sequence of :meth:`update` calls.
-        """
-        vals, cnts = as_histogram(values, counts)
-        total = int(cnts.sum())
-        if self._n + total < 0:
-            raise ValueError("batch would make the multiset size negative")
-        if vals.size > _BATCH_CHUNK:
-            # Each chunk's call checks only its own values: check them
-            # all first, so a refused batch leaves the counters as
-            # they were.
-            _as_domain_values(vals)
-        for start in range(0, vals.size, _BATCH_CHUNK):
-            chunk_vals = vals[start : start + _BATCH_CHUNK]
-            chunk_cnts = cnts[start : start + _BATCH_CHUNK]
-            buckets = self._buckets.hash_many(chunk_vals) % self.s1  # (s2, m)
-            for rep in range(self.s2):
-                np.add.at(self._c[rep], buckets[rep].astype(np.intp), chunk_cnts)
-        self._n += total
-
-    def update_from_stream(self, values: np.ndarray | Iterable[int]) -> None:
-        """Fold an insertion-only stream in via its histogram."""
-        arr = np.asarray(values, dtype=np.int64)
-        if arr.size == 0:
-            return
-        uniq, counts = np.unique(arr, return_counts=True)
-        self.update_from_frequencies(uniq, counts)
+    def _update_one(self, value: int, count: int) -> None:
+        buckets = (self._family.hash_one(value) % self.s1).astype(np.intp)
+        self._c[np.arange(self.s2), buckets] += np.int64(count)
 
     # ------------------------------------------------------------------
     # Queries
@@ -185,63 +124,8 @@ class DistinctCountSketch(Sketch):
         return math.sqrt(self.s1 * max(math.expm1(t) - t, 0.0)) / (t * self.s1)
 
     # ------------------------------------------------------------------
-    # Algebra
+    # Persistence
     # ------------------------------------------------------------------
-    def merge(self, other: "DistinctCountSketch") -> "DistinctCountSketch":
-        """Return the sketch of the union of the two underlying multisets.
-
-        Requires identical shape *and* identical hash families (same
-        seed); the occupancy counters are then simply additive.
-        """
-        self._check_compatible(other)
-        merged = self.copy()
-        merged._c = self._c + other._c
-        merged._n = self._n + other._n
-        return merged
-
-    def _check_compatible(self, other: "DistinctCountSketch") -> None:
-        if not isinstance(other, DistinctCountSketch):
-            raise TypeError(
-                f"expected DistinctCountSketch, got {type(other).__name__}"
-            )
-        if (self.s1, self.s2) != (other.s1, other.s2):
-            raise ValueError(
-                f"shape mismatch: ({self.s1},{self.s2}) vs ({other.s1},{other.s2})"
-            )
-        if self._buckets != other._buckets:
-            raise ValueError(
-                "sketches use different hash families; build both with the same seed"
-            )
-
-    # ------------------------------------------------------------------
-    # Introspection / persistence
-    # ------------------------------------------------------------------
-    @property
-    def n(self) -> int:
-        """Current multiset size (inserts minus deletes)."""
-        return self._n
-
-    @property
-    def memory_words(self) -> int:
-        """Storage in the memory-word model: s2 reps of s1 counters."""
-        return self.s1 * self.s2
-
-    @property
-    def counters(self) -> np.ndarray:
-        """Read-only view of the raw (s2, s1) occupancy counters."""
-        view = self._c.view()
-        view.flags.writeable = False
-        return view
-
-    def copy(self) -> "DistinctCountSketch":
-        """Independent deep copy sharing the same (immutable) hashes."""
-        dup = DistinctCountSketch.__new__(DistinctCountSketch)
-        dup.s1, dup.s2 = self.s1, self.s2
-        dup._buckets = self._buckets  # immutable after construction
-        dup._c = self._c.copy()
-        dup._n = self._n
-        return dup
-
     def to_dict(self) -> dict:
         """Serialise the full sketch state to plain Python types."""
         return {
@@ -250,7 +134,7 @@ class DistinctCountSketch(Sketch):
             "s2": self.s2,
             "n": self._n,
             "counters": self._c.tolist(),
-            "buckets": self._buckets.to_dict(),
+            "buckets": self._family.to_dict(),
         }
 
     @classmethod
@@ -270,13 +154,7 @@ class DistinctCountSketch(Sketch):
                 f"counter matrix has shape {sketch._c.shape}, "
                 f"expected ({sketch.s2}, {sketch.s1})"
             )
-        sketch._buckets = PolynomialHashFamily.from_dict(
+        sketch._family = PolynomialHashFamily.from_dict(
             payload["buckets"], count=sketch.s2, independence=(4,)
         )
         return sketch
-
-    def __repr__(self) -> str:  # pragma: no cover - cosmetic
-        return (
-            f"DistinctCountSketch(s1={self.s1}, s2={self.s2}, n={self._n}, "
-            f"words={self.memory_words})"
-        )

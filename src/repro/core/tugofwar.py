@@ -10,7 +10,8 @@ relative error with probability ``1 - 2^(-s2/2)`` (Theorem 2.2).
 
 The tracking extension is immediate and exact: insert(v) adds
 ``eps(v)`` to every counter, delete(v) subtracts it.  The sketch is a
-linear function of the frequency vector, which also gives us:
+linear function of the frequency vector (its updates, merge and copy
+are :class:`~repro.core.linear.LinearSketch`'s), which also gives us:
 
 * **mergeability** — sketches of disjoint streams built with the same
   hash seeds add component-wise;
@@ -28,14 +29,10 @@ memory words.
 
 from __future__ import annotations
 
-from typing import Iterable
-
 import numpy as np
 
-from ..engine.protocol import Sketch, as_histogram
 from ..engine.registry import register_sketch
 from .. import kernels
-from ..kernels.dispatch import _as_domain_values
 from .estimators import (
     group_shape_for,
     median_of_means,
@@ -43,14 +40,9 @@ from .estimators import (
     theoretical_relative_error,
 )
 from .hashing import SignHashFamily
+from .linear import LinearSketch
 
 __all__ = ["TugOfWarSketch"]
-
-#: Chunk width for batch updates: bounds the (s, chunk) sign matrix
-#: materialised at once so the working set stays cache-resident (a
-#: 4096-wide chunk at s=1280 is a 40 MB uint64 matrix — measurably
-#: slower than this width on memory-bandwidth-bound hosts).
-_BATCH_CHUNK = 1024
 
 #: Highest sign-family independence a sketch accepts: 4 is what the
 #: variance analysis needs, and the hashing ablation uses 2.  A payload
@@ -59,7 +51,7 @@ MAX_INDEPENDENCE = 4
 
 
 @register_sketch
-class TugOfWarSketch(Sketch):
+class TugOfWarSketch(LinearSketch):
     """Tracks the self-join size of a multiset under inserts and deletes.
 
     Parameters
@@ -89,14 +81,12 @@ class TugOfWarSketch(Sketch):
     """
 
     kind = "tugofwar"
-    is_linear = True  # state is a linear map of the frequency vector
-    is_fixed_size = True  # s1 * s2 counters, whatever the data
     describe = (
         "AMS tug-of-war linear sketch for the self-join size F_2; "
         "mergeable, deletion-exact"
     )
 
-    __slots__ = ("s1", "s2", "_signs", "_z", "_n")
+    __slots__ = ()
 
     def __init__(
         self,
@@ -111,88 +101,20 @@ class TugOfWarSketch(Sketch):
                 f"got {independence}"
             )
         self.s1, self.s2 = group_shape_for(s1, s2)
-        self._signs = SignHashFamily(
+        self._family = SignHashFamily(
             self.s1 * self.s2, seed=seed, independence=independence
         )
-        self._z = np.zeros(self.s1 * self.s2, dtype=np.int64)
+        self._c = np.zeros(self.s1 * self.s2, dtype=np.int64)  # the Z counters
         self._n = 0
 
-    # ------------------------------------------------------------------
-    # Updates (Theorem 2.2: O(s) per operation)
-    # ------------------------------------------------------------------
-    def insert(self, value: int) -> None:
-        """Process insert(v): add eps(v) to every counter."""
-        kernels.tugofwar_update_one(self._signs.coefficients, value, 1, self._z)
-        self._n += 1
+    def _scatter(self, values: np.ndarray, counts: np.ndarray) -> None:
+        """``Z += c * eps(v)`` for each (v, c), in the fused scatter kernel."""
+        kernels.tugofwar_scatter(self._family.coefficients, values, counts, self._c)
 
-    def delete(self, value: int) -> None:
-        """Process delete(v): subtract eps(v) from every counter.
-
-        Deletions are exact inverses of insertions, so the sketch state
-        after ``insert(v); delete(v)`` is identical to the state
-        before — no accuracy is lost under deletions (unlike
-        sample-count, which drops sample points).
-        """
-        if self._n <= 0:
-            raise ValueError("cannot delete from an empty multiset")
-        kernels.tugofwar_update_one(self._signs.coefficients, value, -1, self._z)
-        self._n -= 1
-
-    def update(self, value: int, count: int) -> None:
-        """Fold ``count`` occurrences of ``value`` in at once.
-
-        ``count`` may be negative (a batch of deletions).  Equivalent
-        to ``count`` individual insert/delete calls but O(s) total.
-        """
-        c = int(count)
-        if c == 0:
-            return
-        if self._n + c < 0:
-            raise ValueError(
-                f"deleting {-c} occurrences would make the multiset size negative"
-            )
-        kernels.tugofwar_update_one(self._signs.coefficients, value, c, self._z)
-        self._n += c
-
-    def update_from_frequencies(
-        self, values: np.ndarray | Iterable[int], counts: np.ndarray | Iterable[int]
-    ) -> None:
-        """Fold a whole frequency histogram into the sketch.
-
-        This is the vectorised bulk-loading path used by the experiment
-        harness: for each distinct value v with count c it performs
-        ``Z += c * eps(v)`` via the fused scatter kernel
-        (:func:`repro.kernels.tugofwar_scatter`), chunked so the
-        working set stays cache-resident.  The result is bit-identical
-        to the equivalent sequence of :meth:`update` calls (linearity)
-        on every kernel backend, which the test suite verifies.
-        """
-        vals, cnts = as_histogram(values, counts)
-        total = int(cnts.sum())
-        if self._n + total < 0:
-            raise ValueError("batch would make the multiset size negative")
-        if vals.size > _BATCH_CHUNK:
-            # Each chunk's call checks only its own values: check them
-            # all first, so a refused batch leaves the counters as
-            # they were.
-            _as_domain_values(vals)
-        coeffs = self._signs.coefficients
-        for start in range(0, vals.size, _BATCH_CHUNK):
-            kernels.tugofwar_scatter(
-                coeffs,
-                vals[start : start + _BATCH_CHUNK],
-                cnts[start : start + _BATCH_CHUNK],
-                self._z,
-            )
-        self._n += total
-
-    def update_from_stream(self, values: np.ndarray | Iterable[int]) -> None:
-        """Fold an insertion-only stream in via its histogram."""
-        arr = np.asarray(values, dtype=np.int64)
-        if arr.size == 0:
-            return
-        uniq, counts = np.unique(arr, return_counts=True)
-        self.update_from_frequencies(uniq, counts)
+    def _update_one(self, value: int, count: int) -> None:
+        kernels.tugofwar_update_one(
+            self._family.coefficients, value, count, self._c
+        )
 
     # ------------------------------------------------------------------
     # Queries
@@ -203,7 +125,7 @@ class TugOfWarSketch(Sketch):
         Figure 15 of the paper plots exactly these values (sorted) to
         show why median-of-means combining is essential.
         """
-        z = self._z.astype(np.float64)
+        z = self._c.astype(np.float64)
         return z * z
 
     def estimate(self) -> float:
@@ -218,21 +140,6 @@ class TugOfWarSketch(Sketch):
         """Plain-median variant (ablation; no averaging stage)."""
         return float(np.median(self.basic_estimators()))
 
-    # ------------------------------------------------------------------
-    # Algebra
-    # ------------------------------------------------------------------
-    def merge(self, other: "TugOfWarSketch") -> "TugOfWarSketch":
-        """Return the sketch of the union of the two underlying multisets.
-
-        Requires identical shape *and* identical hash families (built
-        from the same seed); the counters are then simply additive.
-        """
-        self._check_compatible(other)
-        merged = self.copy()
-        merged._z = self._z + other._z
-        merged._n = self._n + other._n
-        return merged
-
     def inner_product(self, other: "TugOfWarSketch") -> float:
         """Median-of-means estimate of the *join size* with ``other``.
 
@@ -244,7 +151,7 @@ class TugOfWarSketch(Sketch):
         literal scheme.
         """
         self._check_compatible(other)
-        products = (self._z.astype(np.float64) * other._z.astype(np.float64)).reshape(
+        products = (self._c.astype(np.float64) * other._c.astype(np.float64)).reshape(
             self.s2, self.s1
         )
         return median_of_means(products)
@@ -252,39 +159,7 @@ class TugOfWarSketch(Sketch):
     def inner_product_mean(self, other: "TugOfWarSketch") -> float:
         """The literal k-TW estimator: arithmetic mean of the products."""
         self._check_compatible(other)
-        return float((self._z.astype(np.float64) * other._z.astype(np.float64)).mean())
-
-    def _check_compatible(self, other: "TugOfWarSketch") -> None:
-        if not isinstance(other, TugOfWarSketch):
-            raise TypeError(f"expected TugOfWarSketch, got {type(other).__name__}")
-        if (self.s1, self.s2) != (other.s1, other.s2):
-            raise ValueError(
-                f"shape mismatch: ({self.s1},{self.s2}) vs ({other.s1},{other.s2})"
-            )
-        if self._signs != other._signs:
-            raise ValueError(
-                "sketches use different hash families; build both with the same seed"
-            )
-
-    # ------------------------------------------------------------------
-    # Introspection / persistence
-    # ------------------------------------------------------------------
-    @property
-    def n(self) -> int:
-        """Current multiset size (inserts minus deletes)."""
-        return self._n
-
-    @property
-    def memory_words(self) -> int:
-        """Storage in the paper's memory-word cost model: s = s1 * s2."""
-        return self.s1 * self.s2
-
-    @property
-    def counters(self) -> np.ndarray:
-        """Read-only view of the raw Z counters (flat, length s)."""
-        view = self._z.view()
-        view.flags.writeable = False
-        return view
+        return float((self._c.astype(np.float64) * other._c.astype(np.float64)).mean())
 
     def error_bound(self) -> float:
         """Theorem 2.2 guaranteed relative error ``4 / sqrt(s1)``."""
@@ -294,15 +169,9 @@ class TugOfWarSketch(Sketch):
         """Theorem 2.2 success probability ``1 - 2^(-s2/2)``."""
         return theoretical_confidence(self.s2)
 
-    def copy(self) -> "TugOfWarSketch":
-        """Independent deep copy sharing the same (immutable) hashes."""
-        dup = TugOfWarSketch.__new__(TugOfWarSketch)
-        dup.s1, dup.s2 = self.s1, self.s2
-        dup._signs = self._signs  # immutable after construction
-        dup._z = self._z.copy()
-        dup._n = self._n
-        return dup
-
+    # ------------------------------------------------------------------
+    # Persistence
+    # ------------------------------------------------------------------
     def to_dict(self) -> dict:
         """Serialise the full sketch state to plain Python types."""
         return {
@@ -310,8 +179,8 @@ class TugOfWarSketch(Sketch):
             "s1": self.s1,
             "s2": self.s2,
             "n": self._n,
-            "z": self._z.tolist(),
-            "signs": self._signs.to_dict(),
+            "z": self._c.tolist(),
+            "signs": self._family.to_dict(),
         }
 
     @classmethod
@@ -323,21 +192,15 @@ class TugOfWarSketch(Sketch):
         sketch.s1 = int(payload["s1"])
         sketch.s2 = int(payload["s2"])
         sketch._n = int(payload["n"])
-        sketch._z = np.asarray(payload["z"], dtype=np.int64)
-        if sketch._z.shape != (sketch.s1 * sketch.s2,):
+        sketch._c = np.asarray(payload["z"], dtype=np.int64)
+        if sketch._c.shape != (sketch.s1 * sketch.s2,):
             raise ValueError(
-                f"counter vector has shape {sketch._z.shape}, "
+                f"counter vector has shape {sketch._c.shape}, "
                 f"expected ({sketch.s1 * sketch.s2},)"
             )
-        sketch._signs = SignHashFamily.from_dict(
+        sketch._family = SignHashFamily.from_dict(
             payload["signs"],
-            count=sketch._z.size,
+            count=sketch._c.size,
             independence=range(1, MAX_INDEPENDENCE + 1),
         )
         return sketch
-
-    def __repr__(self) -> str:  # pragma: no cover - cosmetic
-        return (
-            f"TugOfWarSketch(s1={self.s1}, s2={self.s2}, n={self._n}, "
-            f"words={self.memory_words})"
-        )

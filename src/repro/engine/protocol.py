@@ -15,10 +15,11 @@ Beyond the abstract core, the base class supplies portable default
 implementations of the bulk-update surface (``update``,
 ``update_from_frequencies``, ``update_from_stream``) in terms of the
 per-element operations; concrete sketches override them with
-vectorised fast paths where their structure allows (the tug-of-war
-sketch folds a whole histogram in with chunked matrix products;
-sample-count walks a stream in vectorised segments between reservoir
-events; naive-sampling advances its reservoir by skip arithmetic).
+vectorised fast paths where their structure allows (the linear
+sketches fold a whole histogram in with one fused scatter-kernel call
+per chunk of values, see :mod:`repro.core.linear`; sample-count walks
+a stream in vectorised segments between reservoir events;
+naive-sampling advances its reservoir by skip arithmetic).
 
 Three class-level attributes describe a sketch's algebra:
 

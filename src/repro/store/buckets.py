@@ -18,8 +18,8 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from ..engine.protocol import Sketch, as_histogram
-from ..kernels.dispatch import _as_domain_values
+from ..core.linear import checked_histogram
+from ..engine.protocol import Sketch
 
 __all__ = ["BucketLayout", "BucketSpan", "SparseRow", "WindowAlignmentError"]
 
@@ -46,7 +46,9 @@ class SparseRow:
     gives back its counters bit for bit.  The row takes a sketch's
     histogram update and refuses what the sketch's own would refuse — a
     batch that would make ``n`` negative, or a value outside the hash
-    field — with the same message, before anything changes.
+    field — through the same
+    :func:`~repro.core.linear.checked_histogram`, before anything
+    changes.
     """
 
     __slots__ = ("values", "counts", "n")
@@ -75,11 +77,7 @@ class SparseRow:
         self, values: np.ndarray | Iterable[int], counts: np.ndarray | Iterable[int]
     ) -> None:
         """Add a signed histogram, checked as a linear sketch checks it."""
-        vals, cnts = as_histogram(values, counts)
-        total = int(cnts.sum())
-        if self.n + total < 0:
-            raise ValueError("batch would make the multiset size negative")
-        _as_domain_values(vals)
+        vals, cnts, total = checked_histogram(self.n, values, counts)
         self.values, self.counts = _net(
             np.concatenate((self.values, vals)),
             np.concatenate((self.counts, cnts)),

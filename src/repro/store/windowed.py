@@ -301,14 +301,13 @@ class WindowedSketchStore:
             of the batch may already be applied, so treat a failed
             batch as a reason to restore from the last snapshot.
         max_workers:
-            If set, distinct buckets are loaded concurrently on that
-            many threads.  Insert-only jobs of mergeable kinds load a
-            per-span *delta* row (a sparse row for the linear kinds of
-            fixed size, else a sketch) and combine it with the span's
-            row, so the result is bit-identical to the serial path;
-            other jobs update their span in place (each span is touched
-            by exactly one worker, so this too matches the serial
-            result bit for bit).
+            If set, distinct spans are loaded concurrently on that many
+            threads, each in place as the serial path loads it (each
+            span is touched by exactly one worker), so the result is
+            bit-identical to the serial path's.  When a span refuses
+            its events, every other span of the batch is still applied,
+            and the refusal of the first refused span in time order is
+            raised once all have finished.
         """
         ts = np.asarray(timestamps, dtype=np.int64)
         vals = np.asarray(values, dtype=np.int64)
@@ -324,6 +323,8 @@ class WindowedSketchStore:
                 raise ValueError(
                     f"counts {cnts.shape} must match values {vals.shape}"
                 )
+        if max_workers is not None and max_workers < 1:
+            raise ValueError(f"max_workers must be >= 1, got {max_workers}")
         if ts.size == 0:
             return
 
@@ -361,31 +362,14 @@ class WindowedSketchStore:
             for span, segments in jobs.values():
                 self._load_span(span, segments)
         else:
-            if max_workers < 1:
-                raise ValueError(f"max_workers must be >= 1, got {max_workers}")
-            mergeable = self.spec.is_mergeable
-
-            def run(job) -> None:
-                span, segments = job
-                # Delta-build only works when the job is insert-only: a
-                # net-negative histogram cannot be applied to an empty
-                # delta (the sketch rightly rejects going below zero),
-                # while the span's own sketch holds the occurrences
-                # being deleted.  Each span is owned by exactly one
-                # worker, so in-place updates are just as safe.
-                insert_only = all(
-                    c is None or int(c.min(initial=0)) >= 0 for _, c in segments
-                )
-                if mergeable and insert_only:
-                    delta = self._new_row()
-                    for v, c in segments:
-                        delta = self._load_into(delta, v, c)
-                    span.row = self._merge_rows([span.row, delta])
-                else:
-                    self._load_span(span, segments)
-
             with ThreadPoolExecutor(max_workers=max_workers) as pool:
-                list(pool.map(run, jobs.values()))
+                loads = [
+                    pool.submit(self._load_span, span, segments)
+                    for span, segments in jobs.values()
+                ]
+            for refusal in [load.exception() for load in loads]:
+                if refusal is not None:
+                    raise refusal
         self._apply_retention()
 
     def _load_into(

@@ -209,7 +209,7 @@ class TestSignHashFamily:
 def _matrix(sketch: TugOfWarSketch) -> np.ndarray:
     """The coefficient matrix behind a tug-of-war sketch's read-only
     ``coefficients`` view."""
-    return sketch._signs.coefficients.base
+    return sketch._family.coefficients.base
 
 
 class TestSharedFamily:
@@ -240,7 +240,7 @@ class TestSharedFamily:
         assert _matrix(loaded) is _matrix(other)
         assert _matrix(loaded) is not _matrix(built)
         assert loaded.to_dict()["signs"] == payload["signs"]
-        assert loaded._signs != built._signs
+        assert loaded._family != built._family
         with pytest.raises(ValueError, match="different hash families"):
             built.merge(loaded)
 
@@ -377,7 +377,7 @@ class TestCorruptHashPayloads:
 
     def test_two_wise_tugofwar_accepted(self):
         sketch = TugOfWarSketch(8, 2, seed=5, independence=2)
-        assert load_sketch(sketch.to_dict())._signs == sketch._signs
+        assert load_sketch(sketch.to_dict())._family == sketch._family
 
     def test_digest_off_by_one_refused(self):
         payload = PolynomialHashFamily(count=2, seed=0).to_dict()

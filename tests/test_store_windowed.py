@@ -122,9 +122,8 @@ class TestRoutingAndWindows:
         assert serial.to_dict() == threaded.to_dict()
 
     def test_threaded_ingest_with_deletes_matches_serial(self, events):
-        # Net-negative buckets cannot go through delta-build (an empty
-        # delta rejects them); the threaded path must still accept any
-        # batch the serial path accepts, bit-identically.
+        # The threaded path must accept any batch the serial path
+        # accepts, deletions included, bit-identically.
         ts, values = events
         serial = WindowedSketchStore(TW_SPEC, bucket_width=10)
         threaded = WindowedSketchStore(TW_SPEC, bucket_width=10)
@@ -166,6 +165,34 @@ class TestRoutingAndWindows:
         # routed to the insert's bucket, the same delete is fine
         store.ingest([5], [7], counts=[-1])
         assert store.query(0, 10, align="outer").n == 0
+
+    @pytest.mark.parametrize("max_workers", [None, 2])
+    def test_refusal_names_the_span_on_every_path(self, max_workers):
+        store = WindowedSketchStore(TW_SPEC, bucket_width=10)
+        with pytest.raises(ValueError) as info:
+            store.ingest([1, 15], [5, -1], max_workers=max_workers)
+        assert str(info.value) == (
+            "bucket span [10, 20): values contain -1, outside the field "
+            "[0, 2147483647)"
+        )
+
+    def test_threaded_refusal_applies_every_other_span(self):
+        # Which spans a refused threaded batch applies must not depend
+        # on thread timing: all of them but the refused one.
+        spec = SketchSpec("tugofwar", {"s1": 256, "s2": 5, "seed": 7})
+        per_bucket = 200
+        ts = np.repeat(np.arange(40) * 10, per_bucket)
+        values = np.random.default_rng(3).integers(0, 1000, size=ts.size)
+        counts = np.ones(ts.size, dtype=np.int64)
+        counts[3 * per_bucket] = -per_bucket  # bucket 3 nets -1 occurrences
+        payloads = set()
+        for _ in range(20):
+            store = WindowedSketchStore(spec, bucket_width=10)
+            with pytest.raises(ValueError, match=r"^bucket span \[30, 40\): "):
+                store.ingest(ts, values, counts, max_workers=2)
+            payloads.add(json.dumps(store.to_dict()))
+        assert len(payloads) == 1
+        assert store.query(0, 400).n == 39 * per_bucket
 
     def test_deletes_into_sampler_kind_wrapped(self):
         # Insertion-only kinds reject deletion counts with
@@ -215,6 +242,9 @@ class TestRoutingAndWindows:
             store.ingest([1, 2], [1])
         with pytest.raises(ValueError, match="counts"):
             store.ingest([1, 2], [1, 2], counts=[1])
+        with pytest.raises(ValueError, match="max_workers must be >= 1, got 0"):
+            store.ingest([1, 25], [5, 6], max_workers=0)
+        assert store.spans == []  # no refused call opens a bucket
 
     def test_negative_value_refused_by_name(self):
         store = WindowedSketchStore(TW_SPEC, bucket_width=10)
