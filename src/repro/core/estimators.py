@@ -84,7 +84,19 @@ def median_of_means(
     if arr.size == 0:
         raise ValueError("cannot combine zero basic estimators")
     group_means = arr.mean(axis=1)
-    return float(np.median(group_means))
+    # The middle of the sorted means, bit for bit what np.median
+    # answers at a tenth of its cost on s2 = 5.  np.median averages the
+    # middle one or two with np.mean, whose sum starts at 0.0: hence
+    # the 0.0 + below, which turns a -0.0 mean into 0.0 as it does.
+    ordered = np.sort(group_means)
+    if ordered[-1] != ordered[-1]:
+        # A NaN sorts last.  Which NaN np.median returns depends on its
+        # partition, so it answers this case itself.
+        return float(np.median(group_means))
+    mid = ordered.size // 2
+    if ordered.size % 2:
+        return 0.0 + float(ordered[mid])
+    return (0.0 + float(ordered[mid - 1]) + float(ordered[mid])) / 2
 
 
 def split_parameters(s: int) -> tuple[int, int]:

@@ -2,8 +2,13 @@
 
 from __future__ import annotations
 
+import math
+import struct
+
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from repro.core.estimators import (
     group_shape_for,
@@ -65,6 +70,37 @@ class TestMedianOfMeans:
         # One wild group must not move the median.
         groups = np.array([[1.0] * 4, [1.0] * 4, [1e9] * 4])
         assert median_of_means(groups) == pytest.approx(1.0)
+
+    @settings(max_examples=400, deadline=None)
+    @given(
+        s2=st.sampled_from([1, 2, 5, 6]),
+        s1=st.integers(1, 4),
+        values=st.lists(
+            st.one_of(
+                st.sampled_from([
+                    0.0, -0.0, math.inf, -math.inf, math.nan, -math.nan,
+                    5e-324, -5e-324, 1e308, -1e308,
+                ]),
+                st.floats(),
+                st.integers(-9, 9).map(float),
+            ),
+            min_size=24, max_size=24,
+        ),
+    )
+    # A group mean of -0.0 (the sum underflows when halved), alone and
+    # as the middle of five; and a NaN from inf - inf beside a NaN.
+    @example(s2=1, s1=2, values=[-5e-324, 0.0] + [0.0] * 22)
+    @example(s2=5, s1=2, values=[-1.0] * 4 + [-5e-324, 0.0] + [1.0] * 18)
+    @example(s2=2, s1=2, values=[-5e-324, 0.0] * 12)
+    @example(s2=2, s1=2, values=[math.inf, -math.inf, math.nan] + [1.0] * 21)
+    def test_same_bits_as_numpy_median(self, s2, s1, values):
+        """The sorted-middle answer is np.median's float, bit for bit,
+        signed zeros, infinities and NaNs included."""
+        arr = np.array(values[: s1 * s2], dtype=np.float64).reshape(s2, s1)
+        with np.errstate(all="ignore"):
+            want = float(np.median(arr.mean(axis=1)))
+            got = median_of_means(arr)
+        assert struct.pack("<d", got) == struct.pack("<d", want)
 
 
 class TestSimpleCombiners:

@@ -1,26 +1,32 @@
 """The binary wire protocol, the threaded transport, and the
 pipelined/at-most-once shard client.
 
-Covers the frame and payload codecs (including malformed-frame fuzz),
-the shared dispatch surface, protocol negotiation on both server
-classes, request pipelining, the oversized-frame and long-line
-guards, the listen backlog, protocol bit-identity (in-process vs
-line-JSON vs binary answers), and the shard client's at-most-once
-retry classification.
+Covers the frame and payload codecs (including malformed-frame fuzz,
+the compact codec's golden bytes and a corruption sweep), the shared
+dispatch surface, protocol negotiation on both server classes,
+request pipelining, the oversized-frame and long-line guards, the
+listen backlog, protocol bit-identity (in-process vs line-JSON vs
+binary answers), and the shard client's at-most-once retry
+classification.
 """
 
 from __future__ import annotations
 
+import enum
+import hashlib
 import io
 import json
 import socket
 import struct
 import threading
 import time
+from collections import OrderedDict
+from collections.abc import Mapping
 
 import numpy as np
 import pytest
 
+from repro import kernels
 from repro.cluster.client import (
     ShardClient,
     ShardRequestError,
@@ -37,7 +43,7 @@ from repro.service import (
 )
 from repro.service import wire
 from repro.service.surface import OPS, handle_frame
-from repro.store import SketchSpec, WindowedSketchStore
+from repro.store import KeyedSketchStore, SketchSpec, WindowedSketchStore
 
 #: Constructor parameters per kind.  Mergeable kinds pin one seed, so
 #: separately built services hold interchangeable sketches.
@@ -235,6 +241,270 @@ class TestCompactCodec:
         sketch = wire.decode_compact(payload)["sketch"]
         assert "coefficients" not in json.dumps(sketch)
         assert load_sketch(sketch).n == 20_000
+
+
+# ----------------------------------------------------------------------
+# Compact codec: golden bytes and corruption
+# ----------------------------------------------------------------------
+class _Color(enum.IntEnum):
+    RED = 1
+    GREEN = 200
+
+
+class _Label(str):
+    """A str subclass: it must encode as the plain string it holds."""
+
+
+#: Edge values of the compact format and the bytes each must encode
+#: to: the format is fixed by WIRE_VERSION, so a faster codec writes
+#: these bytes too.  Longer payloads are pinned by length and SHA-256.
+GOLDEN_HEX = {
+    "int-33": "d3dfffffffffffffff",
+    "int-32": "e0",
+    "int127": "7f",
+    "int128": "d38000000000000000",
+    "int64-min": "d30000000000000080",
+    "int64-max": "d3ffffffffffffff7f",
+    "float-neg-zero": "cb0000000000000080",
+    "float-inf": "cb000000000000f0ff",
+    "none-bools": "dc0300c0c3c2",
+    "list7": "dc070000010203040506",
+    "list8": "c711080000000001020304050607",
+    "list8-wide": (
+        "c71808000000000000000000000000000000000100000000000000ffffff0100"
+        "0000000000000200000000000000030000000000000004000000000000000500"
+        "000000000000"
+    ),
+    "bool-in-int-list": "dc0b0001000100010001000100c3",
+    "float-in-int-list": "dc080001020304050607cb0000000000002040",
+    "rows": "c7210800000002000000000001ff02fc03f704f005e706dc07cf",
+    "tuple": "c71109000000050505050505050505",
+    "np-int64": "fb",
+    "np-uint8": "d3c800000000000000",
+    "np-float32": "cb000000000000e03f",
+    "np-bool": "c3",
+    "np-int32-array": "c71109000000fcfdfeff0001020304",
+    "np-uint64-2d": (
+        "c728020000000200000000000000000000000000000000010000030000000000"
+        "00000400000000000000"
+    ),
+    "np-empty-array": "dc0000",
+    "np-float-array": (
+        "dc0300cb0000000000000000cb000000000000e03fcb000000000000f03f"
+    ),
+    "np-bool-array": "dc0200c3c2",
+    "int-enum": "dc020001d3c800000000000000",
+    "str-subclass": "d9056c6162656c",
+    "ordered-dict": "de0200d9016201d90161dc0200cb0000000000000440c0",
+    "non-str-keys": (
+        "de0600d90131d90161d90566616c7365d90162d9046e756c6cd90163d903322e"
+        "35d90164d9022d33d90165d903323030d90166"
+    ),
+    "empty": "dc0300dc0000de0000d900",
+}
+
+#: ``(length, sha256)`` of the compact bytes of longer payloads.
+GOLDEN_DIGESTS = {
+    "str255": (
+        257, "087a4bf04cba7cdc398ce7d52d5ff60b21c85294ddde1af77618a5e1ff3493eb"),
+    "str256": (
+        259, "4cf6528c4c424a5a71cc0b54b15ed7395fbf1f3f87883d4d086b011f46df3bf8"),
+    "str65535": (
+        65538, "cb4bf3c5389de702b3d9921eb2aa2af65eaa48d6c047f091c7145c6cb82dd0cd"),
+    "str65536": (
+        65541, "0f9a03fc6205176f9bf5e2b7104d53ecf7038dda8d5328245506f5bcedd6165b"),
+    "sketch-tugofwar": (
+        373, "654d352539dda95ef2e468380d35f3b4e0f6da81cf266c8458441c69621b5411"),
+    "sketch-fk_moments": (
+        752, "f5febdf98407c59a9efd3737506cebb1c95f5ae4d04b03f67c96678c0da637ff"),
+    "sketch-f0": (
+        272, "4e62bf384d370289ec0c73095f6b93ffcc6557c5e07f3d1d38ecfb1ef41c2dfa"),
+    "sketch-samplecount": (
+        1663, "d898dd66bf6941a1050c58a72bfa77a4b3cbdc19b777d33ab068a0b122db11c4"),
+    "sketch-samplecount-fast": (
+        1668, "d590ef4e477450b6ad20b9a480928e83156330ce94c8ad2b6cfba052c145eb14"),
+    "sketch-moments": (
+        1659, "ed3cc11f6f9e71ee5ce6b7a48ba215a96c4fc34f4d2ad044d4a7ae9a58d2c107"),
+    "sketch-naivesampling": (
+        255, "b32c099771bef2aa275989fc44fd079148c1e0b4c152fc0bc551c889472969d9"),
+    "keyed-info": (
+        260, "47e26843e1d95d602a334560d3375829f994227be7b79a8246b6589a31390753"),
+    "keyed-stats": (
+        174, "f0ec992070e92daae9ba300615bca369ad3954e795d78ed95cc8b498b1b599c9"),
+    "error-frame": (
+        66, "920fc901c90c7f52af299e6149abbe6f44d22f9dc775907da584107e225c97c0"),
+}
+
+
+def _edge_values() -> dict:
+    """Edge values keyed as in :data:`GOLDEN_HEX`."""
+    return {
+        "int-33": -33,
+        "int-32": -32,
+        "int127": 127,
+        "int128": 128,
+        "int64-min": -(2**63),
+        "int64-max": 2**63 - 1,
+        "float-neg-zero": -0.0,
+        "float-inf": float("-inf"),
+        "none-bools": [None, True, False],
+        "list7": list(range(7)),
+        "list8": list(range(8)),
+        "list8-wide": [0, 2**40, -(2**40), 1, 2, 3, 4, 5],
+        "bool-in-int-list": [1, 0] * 5 + [True],
+        "float-in-int-list": [1, 2, 3, 4, 5, 6, 7, 8.0],
+        "rows": [[v, -v * v] for v in range(8)],
+        "tuple": (5,) * 9,
+        "np-int64": np.int64(-5),
+        "np-uint8": np.uint8(200),
+        "np-float32": np.float32(0.5),
+        "np-bool": np.bool_(True),
+        "np-int32-array": np.arange(-4, 5, dtype=np.int32),
+        "np-uint64-2d": np.array([[0, 2**40], [3, 4]], dtype=np.uint64),
+        "np-empty-array": np.zeros(0, dtype=np.int64),
+        "np-float-array": np.arange(3) / 2,
+        "np-bool-array": np.array([True, False]),
+        "int-enum": [_Color.RED, _Color.GREEN],
+        "str-subclass": _Label("label"),
+        "ordered-dict": OrderedDict([("b", 1), ("a", [2.5, None])]),
+        "non-str-keys": {1: "a", False: "b", None: "c", 2.5: "d",
+                         np.int64(-3): "e", _Color.GREEN: "f"},
+        "empty": [[], {}, ""],
+    }
+
+
+def _long_values() -> dict:
+    """Strings around the length-prefix bounds (UTF-8 bytes, not
+    characters: each ``é`` is two)."""
+    return {
+        "str255": "é" * 127 + "x",
+        "str256": "é" * 128,
+        "str65535": "é" * 32767 + "x",
+        "str65536": "é" * 32768,
+    }
+
+
+def _keyed_service() -> SketchService:
+    spec = SketchSpec("tugofwar", KIND_PARAMS["tugofwar"])
+    service = SketchService(KeyedSketchStore(spec, bucket_width=10))
+    rng = np.random.default_rng(5)
+    for key in ("alpha", "beta"):
+        service.ingest(rng.integers(0, 30, 50), rng.integers(0, 100, 50),
+                       key=key)
+    return service
+
+
+def _frame(service, opcode: int, request=None) -> bytes:
+    payload = b"" if request is None else wire.encode_compact(request)
+    response, _ = handle_frame(service, wire.WIRE_VERSION, opcode, 0, payload)
+    return response
+
+
+def _golden_payloads(monkeypatch) -> dict:
+    """The payloads pinned by :data:`GOLDEN_DIGESTS`, as bytes."""
+    # info and stats name the kernel backend, which varies by host.
+    monkeypatch.setattr(kernels, "active_backend", lambda: "numpy")
+    payloads = {
+        name: wire.encode_compact(text)
+        for name, text in _long_values().items()
+    }
+    for kind in KIND_PARAMS:
+        payloads[f"sketch-{kind}"] = _frame(
+            _loaded_service(kind), wire.OP_SKETCH, {"from": 0, "until": 100})
+    keyed = _keyed_service()
+    payloads["keyed-info"] = _frame(keyed, wire.OP_INFO)
+    payloads["keyed-stats"] = _frame(keyed, wire.OP_STATS)
+    payloads["error-frame"] = _frame(
+        keyed, wire.OP_ESTIMATE, {"from": 0, "until": 30, "key": 7})
+    return payloads
+
+
+def _loaded_service(kind: str) -> SketchService:
+    # One bucket, so the unmergeable kinds answer the window too.
+    service = make_service(kind, bucket_width=100)
+    rng = np.random.default_rng(14)
+    service.ingest(rng.integers(0, 100, size=2000),
+                   rng.integers(1, 500, size=2000))
+    return service
+
+
+class TestCompactGolden:
+    @pytest.mark.parametrize("name", sorted(GOLDEN_HEX))
+    def test_edge_value_bytes(self, name):
+        obj = _edge_values()[name]
+        golden = bytes.fromhex(GOLDEN_HEX[name])
+        assert wire.encode_compact(obj) == golden
+        decoded = wire.decode_compact(golden)
+        assert repr(decoded) == repr(json_round_trip(_jsonable(obj)))
+
+    def test_every_edge_value_pinned(self):
+        assert sorted(GOLDEN_HEX) == sorted(_edge_values())
+        assert sorted(GOLDEN_DIGESTS) == sorted(
+            [*_long_values(), *(f"sketch-{kind}" for kind in KIND_PARAMS),
+             "keyed-info", "keyed-stats", "error-frame"])
+
+    def test_long_payload_bytes(self, monkeypatch):
+        for name, payload in _golden_payloads(monkeypatch).items():
+            digest = hashlib.sha256(payload).hexdigest()
+            assert (len(payload), digest) == GOLDEN_DIGESTS[name], name
+
+    def test_error_frame_is_flagged(self):
+        response = _frame(_keyed_service(), wire.OP_ESTIMATE,
+                          {"from": 0, "until": 30, "key": 7})
+        _, _, flags, payload = _parse_one(response)
+        assert flags & wire.FLAG_ERROR
+        assert wire.decode_compact(payload)["ok"] is False
+
+
+def _jsonable(obj):
+    """``obj`` with numpy values made plain, as ``json.dumps`` needs."""
+    if isinstance(obj, np.ndarray):
+        return obj.tolist()
+    if isinstance(obj, np.generic):
+        return obj.item()
+    if isinstance(obj, Mapping):
+        return {_jsonable_key(k): _jsonable(v) for k, v in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [_jsonable(v) for v in obj]
+    return obj
+
+
+def _jsonable_key(key):
+    return key.item() if isinstance(key, np.generic) else key
+
+
+class TestCompactCorruption:
+    """A damaged payload decodes to something or raises
+    :class:`wire.FrameFormatError`; no other exception gets out."""
+
+    @staticmethod
+    def _sweep(encoded: bytes) -> int:
+        refused = 0
+        for end in range(len(encoded)):
+            with pytest.raises(wire.FrameFormatError):
+                wire.decode_compact(encoded[:end])
+        damaged = bytearray(encoded)
+        for pos in range(len(encoded)):
+            for mask in range(1, 256):
+                damaged[pos] = encoded[pos] ^ mask
+                try:
+                    wire.decode_compact(damaged)
+                except wire.FrameFormatError:
+                    refused += 1
+            damaged[pos] = encoded[pos]
+        return refused
+
+    def test_sketch_response(self):
+        response = handle_request(
+            _loaded_service("tugofwar"),
+            json.dumps({"op": "sketch", "from": 0, "until": 100}))
+        assert self._sweep(wire.encode_compact(response)) > 0
+
+    def test_nested_mapping(self):
+        nested = {"a": [1, -1, 2**40, 2.5, None, True, "é"],
+                  "b": {"c": list(range(-4, 12)), "d": [[1, 2]] * 8},
+                  "e": "x" * 300}
+        assert self._sweep(wire.encode_compact(nested)) > 0
 
 
 # ----------------------------------------------------------------------
