@@ -1209,9 +1209,10 @@ def _cluster_main(args) -> int:
 
         import numpy as np
 
-        if args.events < 1 or args.batch < 1 or args.buckets < 1:
+        if min(args.events, args.batch, args.buckets, args.values) < 1:
             raise CliError(
-                "--events, --batch, and --buckets must all be positive"
+                "--events, --batch, --buckets, and --values must all be "
+                "positive"
             )
         rng = np.random.default_rng(args.seed)
         with ShardClient(host, port, timeout=60.0) as client:

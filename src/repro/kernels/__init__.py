@@ -9,24 +9,22 @@ Horner step; this package provides the same kernels *fused* — one
 cache-resident pass, no temporaries — behind a backend registry:
 
 * ``numpy`` — always available; the canonical reference whose outputs
-  every other backend must match **bit for bit** (all kernel math is
+  the compiled backend must match **bit for bit** (all kernel math is
   exact integer arithmetic, so equality is exact, not approximate);
-* ``numba`` — cached ``@njit(parallel=False)`` loops, used when numba
-  is importable;
 * ``cffi`` — a small C library compiled on first use with the host C
   compiler and loaded through ``cffi``'s ABI mode, used when both a
   compiler and cffi are present.
 
 Selection: the ``REPRO_KERNEL_BACKEND`` environment variable
-(``auto`` | ``numpy`` | ``numba`` | ``cffi``, default ``auto``) or the
-programmatic :func:`set_backend`.  ``auto`` prefers numba, then cffi,
-then numpy, and *silently* falls back — a host without any compiler
-toolchain runs the numpy path unchanged.  An *explicit* request for an
-unavailable backend raises :class:`KernelUnavailableError` instead of
-silently degrading.
+(``auto`` | ``numpy`` | ``cffi``, default ``auto``) or the
+programmatic :func:`set_backend`.  ``auto`` prefers cffi, then numpy,
+and *silently* falls back — a host without cffi or a C compiler runs
+the numpy path unchanged.  An *explicit* request for an unavailable
+backend raises :class:`KernelUnavailableError` instead of silently
+degrading.
 
-Importing :mod:`repro` (or this package) never imports numba or cffi;
-compiled backends load lazily on first kernel call or on an explicit
+Importing :mod:`repro` (or this package) never imports cffi; the
+compiled backend loads lazily on first kernel call or on an explicit
 :func:`set_backend`.  The numpy path therefore stays the zero-
 dependency oracle, and the property suite asserts compiled == numpy
 bit-identity for every registered linear sketch kind.

@@ -2,11 +2,11 @@
 
 These are the canonical definitions of every fused kernel: pure
 integer numpy, no compiled code, importable everywhere.  The compiled
-backends (:mod:`._numba`, :mod:`._cffi`) must reproduce these outputs
-**exactly** — every operation below is exact uint64/int64 arithmetic
-(products stay under 2^62 inside the field fold; the splitmix mix
-wraps mod 2^64 identically in numpy, numba, and C) — which the
-property suite asserts for every registered linear sketch kind.
+backend (:mod:`._cffi`) must reproduce these outputs **exactly** —
+every operation below is exact uint64/int64 arithmetic (products stay
+under 2^62 inside the field fold; the splitmix mix wraps mod 2^64
+identically in numpy and C) — which the property suite asserts for
+every registered linear sketch kind.
 
 Inputs arrive pre-validated from :mod:`.dispatch`: C-contiguous
 arrays, values already checked into [0, 2^31 - 1).
@@ -171,10 +171,10 @@ def _reservoir_gap(pos: int, k: int, u: float) -> int:
     """Smallest gap g with ``P(G > g) <= u`` via galloping cumprod.
 
     The survival product is evaluated in the same sequential order as
-    the compiled backends' scalar loop — ``np.cumprod`` is a strictly
+    the compiled backend's scalar loop — ``np.cumprod`` is a strictly
     sequential reduction and each ``(x - k) / x`` term is an exactly
     rounded double op on exactly representable integers — so the
-    returned gap is bit-identical to the C/numba search.
+    returned gap is bit-identical to the C search.
     """
     survive = 1.0
     g0 = 0

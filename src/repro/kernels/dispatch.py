@@ -50,11 +50,11 @@ ENV_VAR = "REPRO_KERNEL_BACKEND"
 
 #: Every backend name the registry knows (``auto`` is a policy, not a
 #: backend: it resolves to the first loadable entry of _AUTO_ORDER).
-BACKEND_NAMES = ("numpy", "numba", "cffi")
+BACKEND_NAMES = ("numpy", "cffi")
 
-#: ``auto`` preference: jit first (fastest observed), then the
-#: self-compiled C library, then the always-available reference.
-_AUTO_ORDER = ("numba", "cffi", "numpy")
+#: ``auto`` preference: the self-compiled C library, then the
+#: always-available reference.
+_AUTO_ORDER = ("cffi", "numpy")
 
 MERSENNE_PRIME_31 = (1 << 31) - 1
 _P64 = np.uint64(MERSENNE_PRIME_31)
@@ -79,9 +79,10 @@ RESERVOIR_SEQ_FACTOR = 65536
 class KernelUnavailableError(RuntimeError):
     """An explicitly requested kernel backend cannot be loaded.
 
-    Raised only for *explicit* requests (``set_backend("numba")`` or
-    ``REPRO_KERNEL_BACKEND=numba`` with no numba installed); ``auto``
-    selection never raises — it falls back to the numpy reference.
+    Raised only for *explicit* requests (``set_backend("cffi")`` or
+    ``REPRO_KERNEL_BACKEND=cffi`` on a host without cffi or a C
+    compiler); ``auto`` selection never raises — it falls back to the
+    numpy reference.
     """
 
 
@@ -97,18 +98,13 @@ def _import_backend(name: str):
     if name == "numpy":
         from . import _numpy as module  # always importable
         return module
+    if name != "cffi":
+        raise ValueError(
+            f"unknown kernel backend {name!r}; "
+            f"choose from {('auto',) + BACKEND_NAMES}"
+        )
     try:
-        if name == "numba":
-            from . import _numba as module
-        elif name == "cffi":
-            from . import _cffi as module
-        else:
-            raise ValueError(
-                f"unknown kernel backend {name!r}; "
-                f"choose from {('auto',) + BACKEND_NAMES}"
-            )
-    except ValueError:
-        raise
+        from . import _cffi as module
     except Exception as exc:  # ImportError, compile failure, OSError...
         _load_errors[name] = f"{type(exc).__name__}: {exc}"
         raise KernelUnavailableError(
@@ -197,7 +193,7 @@ def kernel_info(probe: bool = False) -> dict:
 
     With ``probe=False`` (the default, used by serving banners and
     ``info`` payloads) only already-loaded backends are listed, so
-    asking for the summary never triggers a jit compile.  ``probe=True``
+    asking for the summary never triggers a C compile.  ``probe=True``
     (benchmarks, diagnostics) attempts to load every backend.
     """
     available = available_backends() if probe else tuple(sorted(_loaded))
@@ -402,7 +398,7 @@ def splitmix64(values, seed: int = 0) -> np.ndarray:
 # function ``mix(mix(key(s) + j*G1) + i*G2)`` where ``mix`` is the
 # splitmix64 finalizer.  Pure integer arithmetic mod 2^64, so the
 # scalar Python helpers below, the vectorised numpy path, and the
-# compiled backends all produce the same bits — which is what lets the
+# compiled backend all produce the same bits — which is what lets the
 # samplers precompute whole batches of draws instead of threading a
 # stateful generator through every element.
 
@@ -434,7 +430,7 @@ def counter_u01_one(key: int, position: int, draw: int) -> float:
 
     ``((u >> 11) + 1) * 2^-53`` — both the 53-bit integer and the
     power-of-two scale are exactly representable, so the float is
-    bit-identical in Python, numpy, numba, and C.
+    bit-identical in Python, numpy, and C.
     """
     return float((counter_u64_one(key, position, draw) >> 11) + 1) * 2.0**-53
 
@@ -569,7 +565,7 @@ def shard_assign(values, seed: int = 0, num_shards: int = 1) -> np.ndarray:
 
     Returns int64 shard indices in ``[0, num_shards)`` — the
     :class:`repro.engine.partition.HashPartitioner` inner loop without
-    the intermediate hash array on compiled backends.
+    the intermediate hash array on the compiled backend.
     """
     num_shards = int(num_shards)
     if num_shards < 1:

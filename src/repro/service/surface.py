@@ -141,6 +141,10 @@ def _op_ingest(service, request: Mapping) -> dict:
     counts = request.get("counts")
     if counts is not None and not isinstance(counts, batch_types):
         raise ValueError("'counts' must be a list when present")
+    timestamps = wire.integer_column(timestamps, "timestamps")
+    values = wire.integer_column(values, "values")
+    if counts is not None:
+        counts = wire.integer_column(counts, "counts")
     service.ingest(timestamps, values, counts=counts, **_keyed(request))
     return {"ingested": len(values)}
 

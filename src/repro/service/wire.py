@@ -105,6 +105,7 @@ __all__ = [
     "FrameDecoder",
     "encode_compact",
     "decode_compact",
+    "integer_column",
     "pack_ingest",
     "unpack_ingest",
     "hello_response",
@@ -690,15 +691,22 @@ _INGEST_HAS_KEY = 0x04
 _MAX_KEY_BYTES = 0xFFFF
 
 
-def _packed_i64(values, what: str) -> np.ndarray:
+def integer_column(values, what: str) -> np.ndarray:
+    """``values`` as a 1-D little-endian int64 array, else a :class:`WireError`.
+
+    The column rule of ingest on both protocols: :func:`pack_ingest`
+    packs only integer or bool columns whose entries fit in int64, and
+    the line-JSON ``ingest`` op refuses the same floats, strings,
+    nested lists and oversized integers instead of truncating or
+    wrapping them.  An empty column passes whatever its dtype.
+    """
     arr = np.asarray(values)
     if arr.ndim != 1:
         raise WireError(f"{what} must be a 1-D array, got shape {arr.shape}")
-    if arr.size and not (
-        np.issubdtype(arr.dtype, np.integer)
-        or np.issubdtype(arr.dtype, np.bool_)
-    ):
+    if arr.size and arr.dtype.kind not in "biu":
         raise WireError(f"{what} must be integer-typed, got {arr.dtype}")
+    if arr.dtype.kind == "u" and arr.size and int(arr.max()) > _INT64_MAX:
+        raise WireError(f"{what} must fit in int64, got {int(arr.max())}")
     return arr.astype("<i8", copy=False)
 
 
@@ -712,14 +720,14 @@ def pack_ingest(timestamps, values, counts=None, key=None) -> bytes:
     appended as a length-prefixed UTF-8 trailer so the packed columns
     keep their fixed offsets.
     """
-    vals = _packed_i64(values, "values")
+    vals = integer_column(values, "values")
     n = vals.size
     scalar_ts: int | None = None
     ts_arr: np.ndarray | None = None
     if np.ndim(timestamps) == 0:
         scalar_ts = int(timestamps)
     else:
-        ts_arr = _packed_i64(timestamps, "timestamps")
+        ts_arr = integer_column(timestamps, "timestamps")
         if ts_arr.shape != vals.shape:
             raise WireError(
                 f"timestamps {ts_arr.shape} must match values {vals.shape}"
@@ -737,7 +745,7 @@ def pack_ingest(timestamps, values, counts=None, key=None) -> bytes:
     else:
         flags |= _INGEST_SCALAR_TS
     if counts is not None:
-        cnts = _packed_i64(counts, "counts")
+        cnts = integer_column(counts, "counts")
         if cnts.shape != vals.shape:
             raise WireError(
                 f"counts {cnts.shape} must match values {vals.shape}"

@@ -527,10 +527,14 @@ class TestClusterCommand:
         ) == 2
         assert "HOST:PORT" in capsys.readouterr().err
 
-    def test_ingest_bench_rejects_non_positive_sizes(self, capsys):
+    @pytest.mark.parametrize(
+        "flag", ["--events", "--batch", "--buckets", "--values"]
+    )
+    def test_ingest_bench_rejects_non_positive_sizes(self, capsys, flag):
+        # Refused before any connection: nothing listens on port 1.
         assert main(
             ["cluster", "ingest-bench", "--connect", "127.0.0.1:1",
-             "--events", "0"]
+             flag, "0"]
         ) == 2
         assert "positive" in capsys.readouterr().err
 

@@ -316,6 +316,23 @@ class TestClusterServiceEndToEnd:
         stats = handle_request(cluster_service, json.dumps({"op": "stats"}))
         assert stats["ok"] and stats["cache"]["shards"] == 2
 
+    def test_dispatch_table_refuses_non_integer_columns(self, cluster_service):
+        for request, refusal in [
+            (
+                {"timestamps": [1.7], "values": [2.9], "counts": [1.5]},
+                "timestamps must be integer-typed, got float64",
+            ),
+            (
+                {"timestamps": [1], "values": ["5"]},
+                "values must be integer-typed, got <U1",
+            ),
+        ]:
+            response = handle_request(
+                cluster_service, json.dumps({"op": "ingest", **request})
+            )
+            assert response == {"ok": False, "error": refusal}
+        assert cluster_service.spans == []
+
     def test_snapshot_carries_partition_map_and_restores(self, cluster_service, rng):
         ts = rng.integers(0, 100, size=500)
         vals = rng.integers(0, 80, size=500)

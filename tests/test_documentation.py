@@ -25,9 +25,9 @@ def _walk_modules():
         try:
             yield importlib.import_module(info.name)
         except Exception:
-            # Optional-dependency kernel backends (repro.kernels._numba,
-            # ._cffi) only import on hosts with numba / cffi+cc; their
-            # docstrings are checked wherever they do load.
+            # The optional-dependency kernel backend (repro.kernels._cffi)
+            # only imports on hosts with cffi and a C compiler; its
+            # docstrings are checked wherever it loads.
             if not info.name.startswith("repro.kernels._"):
                 raise
 

@@ -14,11 +14,12 @@ three layers:
   identical under every backend;
 * the selection API: env pinning, programmatic :func:`set_backend`,
   loud failure on explicitly requested unavailable backends, and the
-  lazy-import guarantee (``import repro`` never pulls in numba/cffi).
+  lazy-import guarantee (``import repro`` never pulls in cffi).
 """
 
 from __future__ import annotations
 
+import importlib.util
 import json
 import os
 import subprocess
@@ -258,18 +259,39 @@ def test_scalar_path_matches_batched_path(restore_backend, kind):
 # ----------------------------------------------------------------------
 # Selection API
 # ----------------------------------------------------------------------
-def test_unknown_backend_name_raises(restore_backend):
+@pytest.mark.parametrize("name", ["fortran", "numba"])
+def test_unknown_backend_name_raises(restore_backend, name):
     with pytest.raises(ValueError, match="unknown kernel backend"):
-        kernels.set_backend("fortran")
+        kernels.set_backend(name)
 
 
-def test_explicit_unavailable_backend_raises(restore_backend):
-    missing = [b for b in dispatch.BACKEND_NAMES if b not in
-               kernels.available_backends()]
-    if not missing:
-        pytest.skip("every backend is available on this host")
-    with pytest.raises(kernels.KernelUnavailableError, match=missing[0]):
-        kernels.set_backend(missing[0])
+def test_explicit_unavailable_backend_raises(tmp_path):
+    """With no C compiler to build its library, an explicit ``cffi``
+    request raises the typed error and ``auto`` falls back to numpy.
+
+    A subprocess: ``CC`` unset, an empty directory as ``PATH`` and an
+    empty kernel cache leave nothing to compile or load, on any host.
+    """
+    reason = (
+        "no C compiler found"
+        if importlib.util.find_spec("cffi")
+        else "No module named 'cffi'"
+    )
+    out = _run_py(
+        "from repro import kernels\n"
+        "try:\n"
+        "    kernels.set_backend('cffi')\n"
+        "except kernels.KernelUnavailableError as exc:\n"
+        "    print(exc)\n"
+        "print(kernels.set_backend('auto'))\n",
+        CC=None,
+        PATH=str(tmp_path),
+        REPRO_KERNEL_CACHE=str(tmp_path / "cache"),
+    )
+    refusal, resolved = out.strip().splitlines()
+    assert refusal.startswith("kernel backend 'cffi' is not available")
+    assert reason in refusal
+    assert resolved == "numpy"
 
 
 def test_set_backend_returns_resolved_name(restore_backend):
@@ -422,10 +444,12 @@ def test_empty_batch_is_a_noop(restore_backend):
 # Lazy-import and env-pinning guarantees (subprocess: clean sys.modules)
 # ----------------------------------------------------------------------
 def _run_py(code: str, **env_overrides) -> str:
+    """Run ``code`` in a fresh interpreter; an override of None unsets."""
     env = dict(os.environ)
     env["PYTHONPATH"] = SRC
     env.pop(dispatch.ENV_VAR, None)
     env.update(env_overrides)
+    env = {name: value for name, value in env.items() if value is not None}
     return subprocess.run(
         [sys.executable, "-c", code],
         check=True,
@@ -436,14 +460,12 @@ def _run_py(code: str, **env_overrides) -> str:
 
 
 def test_import_repro_never_imports_compiled_backends():
-    """Plain ``import repro`` must not pull in numba or cffi."""
+    """Plain ``import repro`` must not pull in cffi."""
     out = _run_py(
         "import sys, repro\n"
         "import repro.core.tugofwar, repro.engine.partition\n"
         "loaded = [m for m in sys.modules\n"
-        "          if m == 'numba' or m.startswith('numba.')\n"
-        "          or m == 'cffi' or m.startswith('cffi.')\n"
-        "          or m.endswith('kernels._numba')\n"
+        "          if m == 'cffi' or m.startswith('cffi.')\n"
         "          or m.endswith('kernels._cffi')]\n"
         "print(loaded)\n"
     )
@@ -451,7 +473,7 @@ def test_import_repro_never_imports_compiled_backends():
 
 
 def test_env_numpy_disables_compiled_backends():
-    """REPRO_KERNEL_BACKEND=numpy runs pure numpy, no jit anywhere."""
+    """REPRO_KERNEL_BACKEND=numpy runs pure numpy, no compiled kernel."""
     out = _run_py(
         "import sys\n"
         "from repro.core.tugofwar import TugOfWarSketch\n"
@@ -461,9 +483,7 @@ def test_env_numpy_disables_compiled_backends():
         "sk.insert(9)\n"
         "print(active_backend())\n"
         "print([m for m in sys.modules\n"
-        "       if m == 'numba' or m.startswith('numba.')\n"
-        "       or m.endswith('kernels._numba')\n"
-        "       or m.endswith('kernels._cffi')])\n",
+        "       if m.endswith('kernels._cffi')])\n",
         REPRO_KERNEL_BACKEND="numpy",
     )
     lines = out.strip().splitlines()

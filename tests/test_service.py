@@ -27,6 +27,7 @@ from repro.service import (
     SketchServiceServer,
     handle_request,
 )
+from repro.service import wire
 from repro.service.service import dirty_intervals
 from repro.store import (
     KeyedSketchStore,
@@ -618,6 +619,40 @@ class TestServerRequests:
             {"op": "ingest", "timestamps": [5, 15], "values": [3, 3]},
         )
         assert response == {"ok": True, "op": "ingest", "ingested": 2}
+        assert service.query(0, 100).n == n_before + 2
+
+    @pytest.mark.parametrize(
+        "column,bad,refusal",
+        [
+            ("timestamps", [1.7], "must be integer-typed, got float64"),
+            ("values", [2.9], "must be integer-typed, got float64"),
+            ("values", ["5"], "must be integer-typed, got <U1"),
+            ("counts", [1.5], "must be integer-typed, got float64"),
+            ("timestamps", [2**63], f"must fit in int64, got {2**63}"),
+        ],
+        ids=["float-ts", "float-values", "str-values", "float-counts", "big-ts"],
+    )
+    def test_ingest_refuses_non_integer_columns(self, service, column, bad, refusal):
+        # The binary path's rule: pack_ingest refuses the same column
+        # with the same words, and nothing is stored, truncated or wrapped.
+        columns = {"timestamps": [1], "values": [2], "counts": [1], column: bad}
+        refusal = f"{column} {refusal}"
+        with pytest.raises(wire.WireError, match=refusal):
+            wire.pack_ingest(**columns)
+        before = service.snapshot()
+        response = self.send(service, {"op": "ingest", **columns})
+        assert response == {"ok": False, "error": refusal}
+        assert service.snapshot() == before
+
+    def test_ingest_takes_bool_and_empty_columns(self, service):
+        n_before = service.query(0, 100).n
+        response = self.send(
+            service,
+            {"op": "ingest", "timestamps": [5], "values": [True], "counts": [2]},
+        )
+        assert response == {"ok": True, "op": "ingest", "ingested": 1}
+        empty = {"op": "ingest", "timestamps": [], "values": [], "counts": []}
+        assert self.send(service, empty)["ok"]
         assert service.query(0, 100).n == n_before + 2
 
     def test_compact_and_info_and_stats(self, service):
