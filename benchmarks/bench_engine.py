@@ -5,14 +5,13 @@ Measures, on one synthetic Zipf stream:
 
 1. **tug-of-war** — per-element ``insert`` loop vs the engine's
    vectorised ``update_from_stream`` bulk load, plus a 4-way sharded
-   build (serial and threaded) that must merge to a **bit-identical**
-   sketch;
+   build that must merge to a **bit-identical** sketch;
 2. **sample-count** — per-element loop vs the vectorised segment
    walker (states must match bit for bit);
 3. **naive-sampling** — per-element reservoir offers vs skip-jump
    bulk offers (reservoirs must match bit for bit);
-4. **windowed store** — timestamped ingestion throughput (serial and
-   threaded) into a time-bucketed store plus merge-on-query latency
+4. **windowed store** — timestamped ingestion throughput into a
+   time-bucketed store plus merge-on-query latency
    over growing windows (the median of 21 individually timed calls),
    with every windowed estimate checked **bit-identical** against a
    monolithic sketch of the same window;
@@ -1417,29 +1416,21 @@ def main(argv=None) -> int:
     t_shard, sharded = timed(
         lambda: sharded_build(tw, stream, num_shards=args.shards)
     )
-    t_shard_mt, sharded_mt = timed(
-        lambda: sharded_build(
-            tw, stream, num_shards=args.shards, max_workers=args.shards
-        )
-    )
 
     speedup = t_loop / t_batch if t_batch else float("inf")
     print("tug-of-war")
     print(f"  per-element loop   {t_loop:8.3f} s  {throughput(n, t_loop)}")
     print(f"  batched ingest     {t_batch:8.3f} s  {throughput(n, t_batch)}"
           f"   ({speedup:.1f}x)")
-    print(f"  sharded x{args.shards} serial  {t_shard:8.3f} s  "
+    print(f"  sharded x{args.shards}         {t_shard:8.3f} s  "
           f"{throughput(n, t_shard)}")
-    print(f"  sharded x{args.shards} thread  {t_shard_mt:8.3f} s  "
-          f"{throughput(n, t_shard_mt)}")
 
     if not np.array_equal(loop_sketch.counters, batch_sketch.counters):
         failures.append("tug-of-war: batched state != per-element state")
-    for label, built in (("serial", sharded), ("threaded", sharded_mt)):
-        if np.array_equal(built.counters, batch_sketch.counters):
-            print(f"  sharded {label} merge bit-identical to single-shot: True")
-        else:
-            failures.append(f"tug-of-war: {label} sharded merge not bit-identical")
+    if np.array_equal(sharded.counters, batch_sketch.counters):
+        print("  sharded merge bit-identical to single-shot: True")
+    else:
+        failures.append("tug-of-war: sharded merge not bit-identical")
     if speedup < 10.0:
         failures.append(
             f"tug-of-war: batched speedup {speedup:.1f}x below the 10x bar"
@@ -1449,7 +1440,6 @@ def main(argv=None) -> int:
         "batched_s": t_batch,
         "batched_speedup": speedup,
         "batched_meps": n / t_batch / 1e6 if t_batch else float("inf"),
-        "sharded_threaded_s": t_shard_mt,
     }
 
     # 1b. compiled-vs-numpy kernel backend race (ISSUE 9)
@@ -1534,18 +1524,15 @@ def main(argv=None) -> int:
         "tugofwar", {"s1": args.s1, "s2": args.s2, "seed": args.seed}
     )
 
-    def build_store(max_workers=None) -> WindowedSketchStore:
+    def build_store() -> WindowedSketchStore:
         st = WindowedSketchStore(spec, bucket_width=1)
-        st.ingest(timestamps, stream, max_workers=max_workers)
+        st.ingest(timestamps, stream)
         return st
 
     t_store, store = timed(build_store)
-    t_store_mt, store_mt = timed(lambda: build_store(max_workers=args.shards))
 
     print("\nwindowed store (64 buckets)")
     print(f"  bucketed ingest    {t_store:8.3f} s  {throughput(n, t_store)}")
-    print(f"  bucketed ingest x{args.shards} {t_store_mt:7.3f} s  "
-          f"{throughput(n, t_store_mt)}")
 
     query_latencies: dict[str, float] = {}
     for b0, b1 in ((0, 1), (16, 48), (0, num_buckets)):
@@ -1567,14 +1554,8 @@ def main(argv=None) -> int:
     summary["sections"]["windowed_store"] = {
         "ingest_s": t_store,
         "ingest_meps": n / t_store / 1e6 if t_store else float("inf"),
-        "ingest_threaded_s": t_store_mt,
         "query_latency_ms": query_latencies,
     }
-    if not np.array_equal(
-        store_mt.query(0, num_buckets).counters,
-        store.query(0, num_buckets).counters,
-    ):
-        failures.append("windowed store: threaded ingest != serial ingest")
 
     # ------------------------------------------------------------------
     # 5. estimation service: cold vs cached, then ingest+query churn

@@ -74,12 +74,11 @@ def main() -> None:
     print(f"\nmerged halves estimate:   {merged.estimate():>14,.0f} (exact {exact:,})")
 
     # --- engine: sharded build (partition -> build per shard -> merge)
-    # is bit-identical to the single-shot build, and parallelisable.
+    # is bit-identical to the single-shot build.
     sharded = sharded_build(
         lambda: TugOfWarSketch(s1=256, s2=5, seed=99),
         stream,
         num_shards=4,
-        max_workers=2,
     )
     single = TugOfWarSketch(s1=256, s2=5, seed=99)
     single.update_from_stream(stream)

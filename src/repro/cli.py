@@ -147,8 +147,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_build.add_argument("--shards", type=int, default=1,
                          help="sharded build: partition, build per shard, merge "
                          "(mergeable kinds only)")
-    p_build.add_argument("--workers", type=int, default=None,
-                         help="thread count for the sharded build (default serial)")
     p_build.add_argument("--out", required=True, help="output JSON path")
 
     p_info = sketch_sub.add_parser("info", help="inspect a saved sketch")
@@ -210,8 +208,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_st_ingest.add_argument("--events-file", required=True,
                              help="whitespace-separated columns: timestamp "
                              "value [signed count]")
-    p_st_ingest.add_argument("--workers", type=int, default=None,
-                             help="thread count for per-bucket loading")
     p_st_ingest.add_argument("--key", default=None,
                              help="stream key of the batch (required for "
                              "keyed fleets, refused by plain stores)")
@@ -588,8 +584,7 @@ def _sketch_main(args) -> int:
         if args.shards > 1:
             try:
                 sketch = sharded_build(
-                    spec.build, values,
-                    num_shards=args.shards, max_workers=args.workers,
+                    spec.build, values, num_shards=args.shards
                 )
             except MergeUnsupportedError as exc:
                 raise CliError(f"cannot build sharded: {exc}") from exc
@@ -739,15 +734,9 @@ def _store_main(args) -> int:
         counts = events[:, 2] if events.shape[1] == 3 else None
         try:
             if key is not None:
-                store.ingest(
-                    key, events[:, 0], events[:, 1], counts=counts,
-                    max_workers=args.workers,
-                )
+                store.ingest(key, events[:, 0], events[:, 1], counts=counts)
             else:
-                store.ingest(
-                    events[:, 0], events[:, 1], counts=counts,
-                    max_workers=args.workers,
-                )
+                store.ingest(events[:, 0], events[:, 1], counts=counts)
         except (ValueError, NotImplementedError) as exc:
             # NotImplementedError: e.g. deletion counts routed to a
             # naive-sampling bucket (insertion-only by design).

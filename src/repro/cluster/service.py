@@ -638,7 +638,6 @@ class ClusterService:
         timestamps: np.ndarray | Iterable[int],
         values: np.ndarray | Iterable[int],
         counts: np.ndarray | Iterable[int] | None = None,
-        max_workers: int | None = None,
         *,
         key: str | None = None,
     ) -> None:
@@ -664,8 +663,6 @@ class ClusterService:
         :meth:`reshard`, each event routes under the epoch owning its
         *timestamp* (deletions carry the insert's timestamp, so they
         land on the shard holding the insert — exact for every kind).
-        ``max_workers`` is accepted for surface compatibility — the
-        cluster's parallelism is the worker processes themselves.
 
         On a keyed fleet the batch routes by the **(key, value) pair**:
         the value column is first mixed with ``key_digest(key)`` and

@@ -16,7 +16,7 @@ This package is the system layer above the individual algorithms of
   stable value-hash), the one split policy shared by the in-process
   sharded build and the multi-process cluster router;
 * :mod:`repro.engine.sharded` — partition / build-per-shard / merge
-  construction for mergeable sketches, serial or thread-parallel.
+  construction for mergeable sketches.
 """
 
 from .ingest import (

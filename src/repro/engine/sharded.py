@@ -16,16 +16,14 @@ value-hash split is the invariant the multi-process cluster layer
 results for linear sketches — a value partition and a position
 partition of the same multiset sum to the same counters.
 
-Shard workers run either serially (each shard still takes the
-vectorised bulk path, so this is already far faster than per-element
-ingestion) or on a :class:`concurrent.futures.ThreadPoolExecutor` —
-the heavy lifting is numpy matrix products that release the GIL, so
-threads scale without the pickling constraints of process pools.
+The shards are built one after another, each through the vectorised
+bulk path, so this is already far faster than per-element ingestion;
+builds that run in parallel are the cluster layer's, whose shard
+workers are processes.
 """
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from typing import Callable, Iterable, List, Sequence, TypeVar
 
 import numpy as np
@@ -68,7 +66,6 @@ def sharded_build(
     factory: Callable[[], S],
     values: np.ndarray | Iterable[int],
     num_shards: int = 4,
-    max_workers: int | None = None,
     partitioner: Partitioner | None = None,
 ) -> S:
     """Build a sketch of ``values`` by sharding, bulk-loading, merging.
@@ -82,11 +79,8 @@ def sharded_build(
     values:
         The insertion-only stream to sketch.
     num_shards:
-        Number of partitions (also the number of worker sketches).
+        Number of partitions (also the number of shard sketches).
         Ignored when an explicit ``partitioner`` is given.
-    max_workers:
-        ``None`` builds the shards serially (each still vectorised);
-        a positive integer uses that many threads.
     partitioner:
         The split policy; defaults to a
         :class:`~repro.engine.partition.ContiguousPartitioner` over
@@ -103,18 +97,9 @@ def sharded_build(
     if partitioner is None:
         partitioner = ContiguousPartitioner(num_shards)
     arr = np.asarray(values, dtype=np.int64)
-    shards = [arr[idx] for idx in partitioner.split(arr)]
-
-    def build_one(shard: np.ndarray) -> S:
+    parts = []
+    for idx in partitioner.split(arr):
         sketch = factory()
-        sketch.update_from_stream(shard)
-        return sketch
-
-    if max_workers is None:
-        parts = [build_one(shard) for shard in shards]
-    else:
-        if max_workers < 1:
-            raise ValueError(f"max_workers must be >= 1, got {max_workers}")
-        with ThreadPoolExecutor(max_workers=max_workers) as pool:
-            parts = list(pool.map(build_one, shards))
+        sketch.update_from_stream(arr[idx])
+        parts.append(sketch)
     return merge_sketches(parts)

@@ -293,16 +293,19 @@ def _build() -> str:
     lib_path = os.path.join(cache, f"repro_kernels_{tag}.{suffix}")
     if os.path.exists(lib_path):
         return lib_path
+    compiler = _compiler()  # before anything is written to the cache
     os.makedirs(cache, exist_ok=True)
+    # Write the source and build the library to temp names and rename
+    # each atomically, so concurrent processes racing to compile never
+    # read a half-written source nor dlopen a half-written library.
     src_path = os.path.join(cache, f"repro_kernels_{tag}.c")
-    with open(src_path, "w") as fh:
-        fh.write(_CSOURCE)
-    # Build to a temp name and atomically rename, so concurrent
-    # processes racing to compile never dlopen a half-written library.
+    src_fd, tmp_src = tempfile.mkstemp(dir=cache, suffix=".c")
     fd, tmp_path = tempfile.mkstemp(dir=cache, suffix=f".{suffix}")
     os.close(fd)
     try:
-        compiler = _compiler()
+        with os.fdopen(src_fd, "w") as fh:
+            fh.write(_CSOURCE)
+        os.replace(tmp_src, src_path)
         # -march=native lets gcc/clang vectorise the 64-bit multiply
         # fold (AVX-512DQ has vpmullq); the library is cached per host
         # so native codegen is safe.  Retry portable if it is rejected.
@@ -327,8 +330,9 @@ def _build() -> str:
             )
         os.replace(tmp_path, lib_path)
     finally:
-        if os.path.exists(tmp_path):
-            os.unlink(tmp_path)
+        for path in (tmp_src, tmp_path):
+            if os.path.exists(path):
+                os.unlink(path)
     return lib_path
 
 

@@ -111,12 +111,9 @@ class WindowedSignatureCatalog:
         timestamps: np.ndarray | Iterable[int],
         values: np.ndarray | Iterable[int],
         counts: np.ndarray | Iterable[int] | None = None,
-        max_workers: int | None = None,
     ) -> None:
         """Route a timestamped tuple batch to one relation's buckets."""
-        self._store(name).ingest(
-            timestamps, values, counts=counts, max_workers=max_workers
-        )
+        self._store(name).ingest(timestamps, values, counts=counts)
 
     # -- windowed estimation -----------------------------------------------
     def window_bounds(

@@ -196,20 +196,19 @@ class SketchService:
     # Key resolution: a data-path op's windowed store and cache tag
     # ------------------------------------------------------------------
     def _resolve(
-        self, key: str | None, create: bool = False
+        self, key: str | None
     ) -> tuple[WindowedSketchStore, str | None]:
         """The windowed store an op on ``key`` acts on, and its cache tag.
 
         The tag is the key on a fleet and None on a single stream.
         Call under the lock.  A fleet's unseen key resolves to a
-        detached empty store built from the template (or, with
-        ``create=True``, a materialised one), so it answers like a
-        dedicated store that never saw an event.
+        detached empty store built from the template, so it answers
+        like a dedicated store that never saw an event.
         """
         tag = check_key(key, self._keyed)
         if tag is None:
             return self._store, None
-        store = self._store.store_for(tag, create=create)
+        store = self._store.store_for(tag)
         return (self._store._build_store() if store is None else store), tag
 
     # ------------------------------------------------------------------
@@ -220,7 +219,6 @@ class SketchService:
         timestamps: np.ndarray | Iterable[int],
         values: np.ndarray | Iterable[int],
         counts: np.ndarray | Iterable[int] | None = None,
-        max_workers: int | None = None,
         *,
         key: str | None = None,
     ) -> None:
@@ -230,9 +228,10 @@ class SketchService:
         covering spans of the touched buckets are invalidated before
         this returns, so any query *issued after* the call completes
         observes the batch.  A batch the store rejects (e.g. a
-        mis-routed delete) may already be partially applied —
-        invalidation still runs, so the cache never outlives the store
-        state it described.
+        mis-routed delete) keeps the bucket groups before the refused
+        one — invalidation still runs, so the cache never outlives the
+        store state it described.  On a fleet, the fleet's ``ingest``
+        decides whether an unseen key materialises.
         """
         ts = np.asarray(timestamps, dtype=np.int64)
         touched: np.ndarray = (
@@ -241,11 +240,15 @@ class SketchService:
             else np.empty(0, dtype=np.int64)
         )
         with self._rw.write():
-            store, tag = self._resolve(key, create=True)
+            store, tag = self._resolve(key)
             before = store.bucket_spans
             try:
-                store.ingest(ts, values, counts=counts, max_workers=max_workers)
+                if tag is None:
+                    store.ingest(ts, values, counts=counts)
+                else:
+                    self._store.ingest(tag, ts, values, counts=counts)
             finally:
+                store, _ = self._resolve(tag)
                 self._cache.invalidate(
                     tag, dirty_intervals(store, before, touched.tolist())
                 )
@@ -593,7 +596,6 @@ class CatalogService:
         timestamps: np.ndarray | Iterable[int],
         values: np.ndarray | Iterable[int],
         counts: np.ndarray | Iterable[int] | None = None,
-        max_workers: int | None = None,
     ) -> None:
         """Route one relation's timestamped batch atomically."""
         ts = np.asarray(timestamps, dtype=np.int64)
@@ -606,7 +608,7 @@ class CatalogService:
             )
             before = store.bucket_spans
             try:
-                store.ingest(ts, values, counts=counts, max_workers=max_workers)
+                store.ingest(ts, values, counts=counts)
             finally:
                 self._cache.invalidate(
                     name, dirty_intervals(store, before, touched.tolist())

@@ -704,6 +704,11 @@ def integer_column(values, what: str) -> np.ndarray:
     if arr.ndim != 1:
         raise WireError(f"{what} must be a 1-D array, got shape {arr.shape}")
     if arr.size and arr.dtype.kind not in "biu":
+        if all(isinstance(v, int) for v in values):
+            # Python ints past int64 make numpy pick float64 or object.
+            big = [v for v in values if not _INT64_MIN <= v <= _INT64_MAX]
+            if big:
+                raise WireError(f"{what} must fit in int64, got {big[0]}")
         raise WireError(f"{what} must be integer-typed, got {arr.dtype}")
     if arr.dtype.kind == "u" and arr.size and int(arr.max()) > _INT64_MAX:
         raise WireError(f"{what} must fit in int64, got {int(arr.max())}")

@@ -188,7 +188,6 @@ class KeyedSketchStore:
         timestamps: np.ndarray | Iterable[int],
         values: np.ndarray | Iterable[int],
         counts: np.ndarray | Iterable[int] | None = None,
-        max_workers: int | None = None,
     ) -> None:
         """Route one key's timestamped batch into its windowed store.
 
@@ -197,9 +196,18 @@ class KeyedSketchStore:
         key's own store; other keys are untouched (cross-key isolation
         is structural — there is no shared mutable state between per-key
         stores beyond the immutable template).
+
+        ``max_keys`` is checked first, and an unseen key is kept only
+        if the batch is accepted (even empty) or one of its groups loaded.
         """
+        fresh = validate_key(key) not in self._stores
         store = self.store_for(key, create=True)
-        store.ingest(timestamps, values, counts=counts, max_workers=max_workers)
+        try:
+            store.ingest(timestamps, values, counts=counts)
+        except BaseException:
+            if fresh and not store.span_count:
+                del self._stores[key]
+            raise
 
     # ------------------------------------------------------------------
     # Queries (an unseen key is an empty stream, not an error)

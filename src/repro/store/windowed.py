@@ -55,7 +55,6 @@ Design points:
 from __future__ import annotations
 
 import bisect
-from concurrent.futures import ThreadPoolExecutor
 from typing import Iterable, List, Mapping
 
 import numpy as np
@@ -207,22 +206,6 @@ class WindowedSketchStore:
     def _spans_in(self, b0: int, b1: int) -> List[BucketSpan]:
         return [s for s in self._spans if s.start < b1 and s.end > b0]
 
-    def _span_for_bucket(self, bucket: int) -> BucketSpan:
-        """The span holding ``bucket``, creating a width-one span if new.
-
-        Late arrivals older than a compacted span fold directly into
-        that span's sketch, so spans never overlap.  The span list is
-        kept sorted by start, so lookup and insertion are O(log S) —
-        long-lived stores accumulate thousands of spans and a linear
-        scan here would make continuous ingestion quadratic.
-        """
-        i = bisect.bisect_right(self._spans, bucket, key=lambda s: s.start) - 1
-        if i >= 0 and self._spans[i].covers(bucket):
-            return self._spans[i]
-        span = BucketSpan(bucket, bucket + 1, self._new_row())
-        self._spans.insert(i + 1, span)
-        return span
-
     # ------------------------------------------------------------------
     # Rows: sparse until they are too big to hold or to fold
     # ------------------------------------------------------------------
@@ -274,7 +257,6 @@ class WindowedSketchStore:
         timestamps: np.ndarray | Iterable[int],
         values: np.ndarray | Iterable[int],
         counts: np.ndarray | Iterable[int] | None = None,
-        max_workers: int | None = None,
     ) -> None:
         """Route a timestamped batch to its buckets and bulk-load each.
 
@@ -297,17 +279,14 @@ class WindowedSketchStore:
             but a linear sketch only notices when a bucket's total
             count would go negative).  A detected violation (or any
             sketch-level precondition failure) raises ``ValueError``
-            with the offending bucket named; updates to other buckets
-            of the batch may already be applied, so treat a failed
-            batch as a reason to restore from the last snapshot.
-        max_workers:
-            If set, distinct spans are loaded concurrently on that many
-            threads, each in place as the serial path loads it (each
-            span is touched by exactly one worker), so the result is
-            bit-identical to the serial path's.  When a span refuses
-            its events, every other span of the batch is still applied,
-            and the refusal of the first refused span in time order is
-            raised once all have finished.
+            with the offending bucket named.
+
+        Bucket groups load one at a time in bucket order.  When one is
+        refused, the groups before it stay applied, no later group is,
+        and the refused group opens no span.  A linear kind's refused
+        row is left as it was; the exact ``frequency`` kind applies a
+        deletion group entry by entry, so restore a refused batch of it
+        from the last snapshot.
         """
         ts = np.asarray(timestamps, dtype=np.int64)
         vals = np.asarray(values, dtype=np.int64)
@@ -323,8 +302,6 @@ class WindowedSketchStore:
                 raise ValueError(
                     f"counts {cnts.shape} must match values {vals.shape}"
                 )
-        if max_workers is not None and max_workers < 1:
-            raise ValueError(f"max_workers must be >= 1, got {max_workers}")
         if ts.size == 0:
             return
 
@@ -347,29 +324,12 @@ class WindowedSketchStore:
             starts = np.concatenate(([0], cuts))
             ends = np.concatenate((cuts, [buckets.size]))
 
-        # One job per *span*, not per bucket: several bucket groups can
-        # resolve to the same compacted span, and a span must only ever
-        # be touched by one worker (concurrent read-merge-write on the
-        # same span would drop updates).  Segments stay in bucket order
-        # within each job, matching the serial processing order.
-        jobs: dict[int, tuple[BucketSpan, list]] = {}
         for lo, hi in zip(starts.tolist(), ends.tolist()):
-            span = self._span_for_bucket(int(buckets[lo]))  # serial phase
-            segments = jobs.setdefault(id(span), (span, []))[1]
-            segments.append((vals[lo:hi], None if cnts is None else cnts[lo:hi]))
-
-        if max_workers is None:
-            for span, segments in jobs.values():
-                self._load_span(span, segments)
-        else:
-            with ThreadPoolExecutor(max_workers=max_workers) as pool:
-                loads = [
-                    pool.submit(self._load_span, span, segments)
-                    for span, segments in jobs.values()
-                ]
-            for refusal in [load.exception() for load in loads]:
-                if refusal is not None:
-                    raise refusal
+            self._load_group(
+                int(buckets[lo]),
+                vals[lo:hi],
+                None if cnts is None else cnts[lo:hi],
+            )
         self._apply_retention()
 
     def _load_into(
@@ -395,35 +355,45 @@ class WindowedSketchStore:
         row.update_from_frequencies(values, counts)
         return self._settle(row)
 
-    def _load_span(self, span: BucketSpan, segments: list) -> None:
-        """Apply a job's segments to one span, naming it on failure.
+    def _load_group(self, bucket: int, values: np.ndarray, counts) -> None:
+        """Apply one bucket group to the span holding it, naming it on failure.
 
-        A sketch-level rejection (most commonly a delete routed to a
-        bucket that never saw the insert) is re-raised as ``ValueError``
-        with the span's timestamp range so the caller can locate the
-        offending events, and a hint about deletions when the refused
-        segment carries one.  ``KeyError`` is included because the
-        exact ``frequency`` kind signals unmatched deletes that way,
-        and ``NotImplementedError`` because insertion-only kinds reject
-        deletion counts with it.  A sparse row that has grown too big
-        densifies after its segment.
+        A bucket no span covers gets a width-one span, which joins the
+        sorted span list (O(log S) lookup and insertion) only once its
+        group has loaded; late arrivals older than a compacted span
+        fold into it, so spans never overlap.  A sketch-level rejection
+        (most commonly a delete routed to a bucket that never saw the
+        insert) is re-raised as ``ValueError`` with the span's
+        timestamp range, and a hint about deletions when the refused
+        group carries one.  ``KeyError`` is included because the exact
+        ``frequency`` kind signals unmatched deletes that way, and
+        ``NotImplementedError`` because insertion-only kinds reject
+        deletion counts with it.
         """
-        for v, c in segments:
-            try:
-                span.row = self._load_into(span.row, v, c)
-            except (ValueError, KeyError, NotImplementedError) as exc:
-                lo, _ = self.bucket_bounds(span.start)
-                _, hi = self.bucket_bounds(span.end - 1)
-                reason = exc.args[0] if exc.args else exc
-                hint = (
-                    " (deletions must carry the timestamp of the insert "
-                    "they reverse)"
-                    if c is not None and int(c.min()) < 0
-                    else ""
-                )
-                raise ValueError(
-                    f"bucket span [{lo}, {hi}): {reason}{hint}"
-                ) from exc
+        i = bisect.bisect_right(self._spans, bucket, key=lambda s: s.start)
+        covered = i > 0 and self._spans[i - 1].covers(bucket)
+        span = (
+            self._spans[i - 1]
+            if covered
+            else BucketSpan(bucket, bucket + 1, self._new_row())
+        )
+        try:
+            span.row = self._load_into(span.row, values, counts)
+        except (ValueError, KeyError, NotImplementedError) as exc:
+            lo, _ = self.bucket_bounds(span.start)
+            _, hi = self.bucket_bounds(span.end - 1)
+            reason = exc.args[0] if exc.args else exc
+            hint = (
+                " (deletions must carry the timestamp of the insert "
+                "they reverse)"
+                if counts is not None and int(counts.min()) < 0
+                else ""
+            )
+            raise ValueError(
+                f"bucket span [{lo}, {hi}): {reason}{hint}"
+            ) from exc
+        if not covered:
+            self._spans.insert(i, span)
 
     def _apply_retention(self) -> None:
         if self.retention_buckets is None or not self._spans:

@@ -74,15 +74,12 @@ class TestShardedBuild:
         with pytest.raises(ValueError, match="num_shards"):
             sharded_build(FrequencyVector, _stream(100), num_shards=0)
 
-    @pytest.mark.parametrize("max_workers", [None, 4])
-    def test_tugofwar_bit_identical_to_single_shot(self, max_workers):
+    def test_tugofwar_bit_identical_to_single_shot(self):
         values = _stream()
         factory = lambda: TugOfWarSketch(s1=64, s2=5, seed=17)  # noqa: E731
         single = factory()
         single.update_from_stream(values)
-        sharded = sharded_build(
-            factory, values, num_shards=4, max_workers=max_workers
-        )
+        sharded = sharded_build(factory, values, num_shards=4)
         assert np.array_equal(sharded.counters, single.counters)
         assert sharded.n == single.n
         assert sharded.estimate() == single.estimate()

@@ -271,12 +271,16 @@ def test_explicit_unavailable_backend_raises(tmp_path):
 
     A subprocess: ``CC`` unset, an empty directory as ``PATH`` and an
     empty kernel cache leave nothing to compile or load, on any host.
+    The build looks for a compiler before it writes anything, so the
+    cache stays empty.
     """
     reason = (
         "no C compiler found"
         if importlib.util.find_spec("cffi")
         else "No module named 'cffi'"
     )
+    cache = tmp_path / "cache"
+    cache.mkdir()
     out = _run_py(
         "from repro import kernels\n"
         "try:\n"
@@ -286,12 +290,13 @@ def test_explicit_unavailable_backend_raises(tmp_path):
         "print(kernels.set_backend('auto'))\n",
         CC=None,
         PATH=str(tmp_path),
-        REPRO_KERNEL_CACHE=str(tmp_path / "cache"),
+        REPRO_KERNEL_CACHE=str(cache),
     )
     refusal, resolved = out.strip().splitlines()
     assert refusal.startswith("kernel backend 'cffi' is not available")
     assert reason in refusal
     assert resolved == "numpy"
+    assert list(cache.iterdir()) == []
 
 
 def test_set_backend_returns_resolved_name(restore_backend):

@@ -18,6 +18,7 @@ from repro.cluster import (
     ClusterConfigError,
     ClusterService,
     LocalCluster,
+    ShardRequestError,
     store_config,
 )
 from repro.engine import dump_sketch
@@ -150,6 +151,12 @@ class TestKeyedObservability:
         assert len(stats["items_per_shard"]) == 2
         only_a = keyed_service.stats(key="obs-a")
         assert only_a["items_by_key"] == {"obs-a": 3}
+
+    def test_refused_batch_materialises_no_key(self, keyed_service):
+        with pytest.raises(ShardRequestError, match="outside the field"):
+            keyed_service.ingest([1], [-1], key="refused-tenant")
+        assert "refused-tenant" not in keyed_service.stats()["items_by_key"]
+        assert "refused-tenant" not in keyed_service.info()["keys"]
 
     def test_info_reports_keys(self, keyed_service):
         keyed_service.ingest([1], [5], key="info-a")

@@ -25,7 +25,7 @@ from repro.service import (
     wire,
 )
 from repro.engine import dump_sketch
-from repro.service.surface import handle_request_mapping
+from repro.service.surface import handle_request, handle_request_mapping
 from repro.store import SketchSpec, WindowedSketchStore
 from repro.store.keyed import KeyedSketchStore
 
@@ -306,6 +306,36 @@ class TestKeyedWireBothProtocols:
                 assert _json_exchange(f, {"op": "ping"})["pong"] is True
         finally:
             _stop(server, thread)
+
+
+class TestRefusedIngest:
+    def test_refused_new_key_leaves_max_keys_room(self):
+        service = SketchService(KeyedSketchStore(SPEC, 10, max_keys=1))
+        bad = {"op": "ingest", "timestamps": [1], "values": [-1], "key": "bad"}
+        reply = handle_request(service, json.dumps(bad))
+        assert reply == {
+            "ok": False,
+            "error": "bucket span [0, 10): values contain -1, outside the "
+            "field [0, 2147483647)",
+        }
+        assert service.keys == []
+        good = dict(bad, values=[5], key="good")
+        assert handle_request(service, json.dumps(good))["ok"] is True
+        assert service.keys == ["good"]
+
+    def test_refused_batch_that_loads_a_group_is_queried(self):
+        # The cached empty answer of the unseen key must not outlive
+        # the group the refused batch applied.
+        service = make_keyed_service()
+        assert service.estimate(0, 10, key="a") == 0.0
+        with pytest.raises(ValueError, match=r"bucket span \[10, 20\)"):
+            service.ingest([1, 15], [5, -1], key="a")
+        assert service.keys == ["a"]
+        assert service.estimate(0, 10, key="a") == 1.0
+        with pytest.raises(ValueError, match="outside the field"):
+            service.ingest([1], [-1], key="b")
+        assert service.keys == ["a"]
+        assert service.stats()["items_by_key"] == {"a": 1}
 
 
 class TestKeyedVsUnkeyedMismatch:

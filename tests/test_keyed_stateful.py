@@ -1,14 +1,15 @@
 """Stateful test of a served keyed fleet of sparse-first rows (hypothesis).
 
 A ``RuleBasedStateMachine`` drives ``SketchService(KeyedSketchStore)``
-with signed, out-of-order multi-key ingest (serial and threaded),
-refused batches, compaction, eviction, snapshot/restore and strict or
-outer ``estimate``/``sketch`` queries.  Its model is the exact net
-histogram of every (key, bucket) and the span list of every key.  The
-specs are small (a bucket holds its histogram until it has 3 to 6
-distinct values), so rows cross from sparse to dense within a few
-values, and every answer must equal a fresh sketch fed the model's
-window: counters, ``n`` and estimate, bit for bit.
+with signed, out-of-order multi-key ingest, refused batches (into a
+held bucket, a new bucket and a new key), compaction, eviction,
+snapshot/restore and strict or outer ``estimate``/``sketch`` queries.
+Its model is the exact net histogram of every (key, bucket) and the
+span list of every key.  The specs are small (a bucket holds its
+histogram until it has 3 to 6 distinct values), so rows cross from
+sparse to dense within a few values, and every answer must equal a
+fresh sketch fed the model's window: counters, ``n`` and estimate, bit
+for bit.
 """
 
 from __future__ import annotations
@@ -85,9 +86,8 @@ class FleetMachine(RuleBasedStateMachine):
         events=st.lists(event, min_size=1, max_size=12),
         deletes=st.lists(st.integers(0, 10_000), max_size=4),
         counted=st.booleans(),
-        workers=st.sampled_from([None, None, 2]),
     )
-    def ingest(self, key, events, deletes, counted, workers):
+    def ingest(self, key, events, deletes, counted):
         ts = [b * WIDTH + off for b, off, _, _ in events]
         values = [v for _, _, v, _ in events]
         counts = [c if counted else 1 for *_, c in events]
@@ -109,8 +109,7 @@ class FleetMachine(RuleBasedStateMachine):
             counts.append(-1)
         signed = counted or len(counts) > len(events)
         self.service.ingest(
-            ts, values, counts=counts if signed else None,
-            max_workers=workers, key=key,
+            ts, values, counts=counts if signed else None, key=key
         )
         spans = self.spans.setdefault(key, [])
         for t, v, c in zip(ts, values, counts):
@@ -121,18 +120,57 @@ class FleetMachine(RuleBasedStateMachine):
             hist = self.hist.setdefault((key, bucket), {})
             hist[v] = hist.get(v, 0) + c
 
+    def _observed(self) -> tuple:
+        fleet = self.service._store
+        return (
+            {key: fleet.store_for(key).bucket_spans for key in fleet.keys},
+            fleet.memory_words,
+            json.dumps(fleet.to_dict()),
+            [self.service.estimate(0, BUCKETS * WIDTH, "outer", key=k)
+             for k in KEYS],
+        )
+
+    def _refuse(self, key: str, bucket: int, bad: int) -> None:
+        # The batch's first bucket group is refused, so nothing changes:
+        # not the keys, spans, words or any answer, and the later group
+        # in the last bucket is not applied either.
+        before = self._observed()
+        with pytest.raises(ValueError, match="outside the field"):
+            self.service.ingest(
+                [bucket * WIDTH] * 3 + [(BUCKETS - 1) * WIDTH],
+                [1, 2, bad, 3], key=key,
+            )
+        assert self._observed() == before
+
+    def _new_buckets(self, key: str) -> list[int]:
+        return [b for b in range(BUCKETS) if not self._covered(key, b)]
+
     @precondition(lambda self: any(self.spans.values()))
     @rule(data=st.data())
     def refused_ingest(self, data):
-        # Into a bucket the key already holds, so the refusal opens no
-        # span: the row must be left exactly as it was.
+        # Into a bucket the key already holds: the row must be left
+        # exactly as it was.
         key = data.draw(st.sampled_from(sorted(k for k, s in self.spans.items() if s)))
         start, _ = data.draw(st.sampled_from(self.spans[key]))
-        bad = data.draw(st.sampled_from([-1, 2147483647]))
-        with pytest.raises(ValueError, match="outside the field"):
-            self.service.ingest(
-                [start * WIDTH] * 3, [1, 2, bad], key=key
-            )
+        self._refuse(key, start, data.draw(st.sampled_from([-1, 2147483647])))
+
+    @precondition(
+        lambda self: any(map(self._new_buckets, self.service._store.keys))
+    )
+    @rule(data=st.data())
+    def refused_ingest_into_a_new_bucket(self, data):
+        keys = [k for k in self.service._store.keys if self._new_buckets(k)]
+        key = data.draw(st.sampled_from(keys))
+        bucket = data.draw(st.sampled_from(self._new_buckets(key)))
+        self._refuse(key, bucket, data.draw(st.sampled_from([-1, 2147483647])))
+
+    @precondition(lambda self: set(KEYS) - set(self.service._store.keys))
+    @rule(data=st.data())
+    def refused_ingest_into_a_new_key(self, data):
+        keys = sorted(set(KEYS) - set(self.service._store.keys))
+        key = data.draw(st.sampled_from(keys))
+        bucket = data.draw(st.integers(0, BUCKETS - 1))
+        self._refuse(key, bucket, data.draw(st.sampled_from([-1, 2147483647])))
 
     @rule(key=st.one_of(st.none(), st.sampled_from(KEYS)),
           before=st.integers(0, BUCKETS))

@@ -94,6 +94,22 @@ class TestKeyCardinality:
         # Existing keys still accept ingest.
         fleet.ingest("a", [5], [2])
 
+    def test_refused_batch_materialises_a_key_only_once_a_group_loads(self):
+        fleet = make_fleet(max_keys=2)
+        with pytest.raises(ValueError, match="outside the field"):
+            fleet.ingest("bad", [1], [-1])
+        assert fleet.keys == [] and fleet.memory_words == 0
+        # [0, 10) loads before [10, 20) is refused: the key holds it.
+        with pytest.raises(ValueError, match=r"bucket span \[10, 20\)"):
+            fleet.ingest("half", [1, 15], [5, -1])
+        assert fleet.keys == ["half"]
+        assert fleet.store_for("half").spans == [(0, 10)]
+        fleet.ingest("empty", [], [])  # accepted, so it materialises
+        assert fleet.keys == ["empty", "half"]
+        # max_keys is checked before the batch is.
+        with pytest.raises(KeyCardinalityError, match="max_keys=2"):
+            fleet.ingest("late", [1], [-1])
+
     def test_cardinality_error_is_a_value_error(self):
         assert issubclass(KeyCardinalityError, ValueError)
 

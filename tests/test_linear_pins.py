@@ -334,7 +334,7 @@ class TestPinnedMixedStore:
     """A windowed store holding sparse rows on both sides of a dense one."""
 
     @staticmethod
-    def build(max_workers=None) -> WindowedSketchStore:
+    def build() -> WindowedSketchStore:
         store = WindowedSketchStore(STORE_SPEC, bucket_width=10)
         batches = [
             ([1, 2, 3], [4, 4, 9], None),
@@ -343,12 +343,11 @@ class TestPinnedMixedStore:
             ([21, 12], [6, 3], [-2, -1]),
         ]
         for ts, values, counts in batches:
-            store.ingest(ts, values, counts, max_workers=max_workers)
+            store.ingest(ts, values, counts)
         return store
 
-    @pytest.mark.parametrize("max_workers", [None, 2])
-    def test_payload_and_estimates(self, max_workers):
-        store = self.build(max_workers)
+    def test_payload_and_estimates(self):
+        store = self.build()
         assert [type(s.row) for s in store._spans] == [
             SparseRow, type(STORE_SPEC.build()), SparseRow
         ]

@@ -629,8 +629,15 @@ class TestServerRequests:
             ("values", ["5"], "must be integer-typed, got <U1"),
             ("counts", [1.5], "must be integer-typed, got float64"),
             ("timestamps", [2**63], f"must fit in int64, got {2**63}"),
+            # numpy reads these Python ints as float64 and object.
+            ("values", [1, 2**63], f"must fit in int64, got {2**63}"),
+            ("values", [2**64], f"must fit in int64, got {2**64}"),
+            ("counts", [-(2**63) - 1], f"must fit in int64, got {-(2**63)-1}"),
         ],
-        ids=["float-ts", "float-values", "str-values", "float-counts", "big-ts"],
+        ids=[
+            "float-ts", "float-values", "str-values", "float-counts", "big-ts",
+            "big-values", "huge-values", "small-counts",
+        ],
     )
     def test_ingest_refuses_non_integer_columns(self, service, column, bad, refusal):
         # The binary path's rule: pack_ingest refuses the same column
