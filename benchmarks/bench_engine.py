@@ -1440,6 +1440,8 @@ def main(argv=None) -> int:
         "batched_s": t_batch,
         "batched_speedup": speedup,
         "batched_meps": n / t_batch / 1e6 if t_batch else float("inf"),
+        "sharded_s": t_shard,
+        "shards": args.shards,
     }
 
     # 1b. compiled-vs-numpy kernel backend race (ISSUE 9)

@@ -15,12 +15,13 @@ build-and-merge path (:func:`sharded_build`) for parallel loading.
 The **store** layer (:mod:`repro.store`) adds continuous maintenance:
 :class:`WindowedSketchStore` buckets timestamped updates and answers
 estimates over arbitrary time windows by merging bucket sketches on
-the fly, and :class:`WindowedSignatureCatalog` lifts that to windowed
-join-size estimates between relations.  The **service** layer
-(:mod:`repro.service`) serves those estimates under concurrent load:
-:class:`SketchService` / :class:`CatalogService` add reader–writer
+the fly, and :class:`KeyedSketchStore` keeps one such store per key.
+The **service** layer (:mod:`repro.service`) serves those estimates
+under concurrent load: :class:`SketchService` adds reader–writer
 snapshot isolation, a merged-window LRU cache with per-dirty-bucket
-invalidation, and request coalescing, and
+invalidation, and request coalescing, and over a keyed fleet of
+tug-of-war sketches (one key per relation) answers cached windowed
+join-size estimates between keys;
 :class:`~repro.service.server.SketchServiceServer` (the ``repro
 serve`` command) serves it over TCP as line-delimited JSON or binary
 frames, chosen per connection.  The **cluster** layer
@@ -123,9 +124,8 @@ from .relational import (
     SampleCatalog,
     SignatureCatalog,
     UnknownRelationError,
-    WindowedSignatureCatalog,
 )
-from .service import CatalogService, KeyedSketchService, SketchService, SketchServiceServer
+from .service import KeyedSketchService, SketchService, SketchServiceServer
 from .store import (
     KeyCardinalityError,
     KeyedSketchStore,
@@ -209,7 +209,6 @@ __all__ = [
     "Relation",
     "SignatureCatalog",
     "SampleCatalog",
-    "WindowedSignatureCatalog",
     "UnknownRelationError",
     # planner: join graphs, enumerators, estimator policies
     "JoinGraph",
@@ -232,7 +231,6 @@ __all__ = [
     # estimation service
     "SketchService",
     "KeyedSketchService",
-    "CatalogService",
     "SketchServiceServer",
     # streams
     "Insert",

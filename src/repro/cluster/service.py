@@ -3,8 +3,9 @@
 :class:`ClusterService` satisfies the same estimate / sketch / ingest
 / info surface as :class:`~repro.service.service.SketchService`, so
 everything written against the single-node service — the generalized
-wire dispatch table, ``CatalogService.at_window``-style consumers, the
-CLI — works unchanged against a fleet of shard workers:
+wire dispatch table and the CLI — works unchanged against a fleet of
+shard workers (a keyed join is two keyed ``sketch`` requests whose
+merged window sketches the client multiplies):
 
 * **Ingest** routes each batch by the stable value-hash partitioner
   (:class:`~repro.engine.partition.HashPartitioner`) and scatters the

@@ -193,18 +193,20 @@ class FrequencyVector(Sketch):
     ) -> None:
         """Fold a signed frequency histogram into the vector.
 
-        Equivalent to pairwise :meth:`update` calls in the given order;
-        a batch entry that would drive a count negative raises
-        ``KeyError`` exactly as :meth:`delete` does.
+        Equivalent to pairwise :meth:`update` calls in the given order,
+        except that a refused batch changes nothing: an entry that
+        would drive a count negative raises ``KeyError`` exactly as
+        :meth:`update` would at that point of the batch, before any
+        entry is applied.
 
         Insert-only batches (no negative counts) are aggregated with
         one vectorised histogram before touching the dictionary, so a
         large batch over a modest domain costs one pass plus one
         dictionary update per *distinct* value — not one per entry.
-        Batches containing deletions keep the per-entry path, because
-        the raise-on-negative contract is defined entry by entry in
-        batch order; batches whose totals could overflow the int64
-        accumulators also fall back to it, keeping the class exact
+        Batches containing deletions check running per-value totals
+        entry by entry in batch order, the order the refusal contract
+        is defined in; batches whose totals could overflow the int64
+        accumulators also take that path, keeping the class exact
         (Python-int arithmetic) at any magnitude.
         """
         vals, cnts = as_histogram(values, counts)
@@ -225,9 +227,21 @@ class FrequencyVector(Sketch):
                     self._counts[v] += c
             self._n += int(cnts.sum())
             return
+        totals: dict[int, int] = {}
         for v, c in zip(vals.tolist(), cnts.tolist()):
-            if c:
-                self.update(v, c)
+            have = totals.get(v, self._counts.get(v, 0))
+            if have + c < 0:
+                raise KeyError(
+                    f"cannot delete {-c} occurrences of value {v}: "
+                    f"only {have} present"
+                )
+            totals[v] = have + c
+        for v, total in totals.items():
+            if total:
+                self._counts[v] = total
+            else:
+                self._counts.pop(v, None)
+        self._n += sum(cnts.tolist())
 
     def update_from_stream(self, values: Iterable[int] | np.ndarray) -> None:
         """Insert every element of a stream via one vectorised histogram."""

@@ -327,6 +327,17 @@ class SampleCountSketch(Sketch):
         if v not in self._head:
             del self._nv[v]
 
+    def update(self, value: int, count: int) -> None:
+        """Fold ``count`` occurrences of ``value`` in (signed).
+
+        Equivalent to ``|count|`` :meth:`insert` or :meth:`delete`
+        calls, except that a count that would make the multiset size
+        negative is refused before any of them runs.
+        """
+        if self._n + int(count) < 0:
+            raise ValueError("cannot delete from an empty multiset")
+        super().update(value, count)
+
     def update_from_stream(self, values: Iterable[int] | np.ndarray) -> None:
         """Insert a whole stream in bulk: chain first, then count.
 
@@ -533,9 +544,13 @@ class SampleCountSketch(Sketch):
         entry costs O(s log) work, not O(count) memory).  Draws are
         pure functions of stream position, so both routes produce
         exactly the state of per-element inserts.  Deletions are
-        applied per occurrence (each is O(1) amortised).
+        applied per occurrence (each is O(1) amortised).  The multiset
+        is smallest after the last deletion, so a batch that would make
+        its size negative is refused before anything is applied.
         """
         vals, cnts = as_histogram(values, counts)
+        if self._n + int(cnts.sum()) < 0:
+            raise ValueError("cannot delete from an empty multiset")
         for piece in expand_histogram(vals, cnts, self._EXPAND_MAX):
             if isinstance(piece, tuple):
                 self._insert_repeated(*piece)

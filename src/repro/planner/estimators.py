@@ -12,8 +12,9 @@ optimizers do with pairwise statistics.  Three policies ship:
   (the ground-truth oracle plans are judged against);
 * :class:`SketchCardinalities` — tug-of-war estimates from a
   :class:`~repro.relational.catalog.SignatureCatalog`, a
-  :class:`~repro.relational.windowed.WindowedSignatureCatalog` window
-  view, or any other ``join_estimate`` provider, clamped to >= 0;
+  :meth:`~repro.service.service.SketchService.at_window` view of a
+  keyed fleet, or any other ``join_estimate`` provider, clamped to
+  >= 0;
 * :class:`BoundAwareCardinalities` — the sketch estimate inflated by
   the paper's Lemma 4.4 standard error (``sqrt(2 SJ(F) SJ(G) / k)``),
   PostBOUND-style pessimistic planning: overestimating an intermediate
@@ -149,7 +150,7 @@ class SketchCardinalities:
 
     Wraps any ``join_estimate`` provider — a
     :class:`~repro.relational.catalog.SignatureCatalog`, a
-    :class:`~repro.service.service.CatalogService` window view, a
+    :meth:`~repro.service.service.SketchService.at_window` view, a
     :class:`~repro.relational.catalog.SampleCatalog` — and clamps the
     raw inner-product estimate (which can dip below zero on nearly
     disjoint relations) to zero, rejecting non-finite values.
@@ -184,7 +185,7 @@ class BoundAwareCardinalities:
             raise TypeError(
                 "bound-aware estimation needs a catalog with "
                 "join_error_bound(left, right) (e.g. SignatureCatalog or a "
-                f"CatalogService window view); {type(catalog).__name__} "
+                f"SketchService.at_window view); {type(catalog).__name__} "
                 "has none"
             )
         if not math.isfinite(float(confidence)) or float(confidence) < 0:

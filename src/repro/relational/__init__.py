@@ -12,11 +12,13 @@ way a database would:
   tug-of-war sketch with ``s2 = 1``) per relation, maintained
   incrementally under inserts/deletes, and answers
   pairwise join-size estimates from signatures alone, avoiding the
-  quadratic blow-up of per-pair state;
-* :class:`~repro.relational.windowed.WindowedSignatureCatalog` — the
-  same signature scheme with a time axis: per-relation windowed sketch
-  stores (see :mod:`repro.store`) answering join estimates restricted
-  to any bucket-aligned time window.
+  quadratic blow-up of per-pair state.
+
+A catalog with a time axis is a :class:`~repro.store.keyed.
+KeyedSketchStore` of tug-of-war sketches behind a
+:class:`~repro.service.service.SketchService`: each relation is a
+key, and the service answers join estimates over any bucket-aligned
+window.
 
 Every catalog answers ``join_estimate(left, right)``, the estimator
 protocol :mod:`repro.planner` enumerates join orders over.
@@ -24,12 +26,10 @@ protocol :mod:`repro.planner` enumerates join orders over.
 
 from .catalog import SampleCatalog, SignatureCatalog, UnknownRelationError
 from .relation import Relation
-from .windowed import WindowedSignatureCatalog
 
 __all__ = [
     "Relation",
     "SignatureCatalog",
     "SampleCatalog",
-    "WindowedSignatureCatalog",
     "UnknownRelationError",
 ]

@@ -11,13 +11,12 @@ layer that actually serves those estimates under concurrent load:
   half-applied ingest batch), an LRU merged-window cache keyed by
   ``(key, t0, t1, align)`` invalidated precisely per key and dirty
   bucket span, and single-flight coalescing of concurrent identical
-  queries.  :class:`~repro.service.keyed.KeyedSketchService` is the
-  same class with a constructor that accepts only a fleet.
-* :class:`~repro.service.service.CatalogService` — the same contract
-  over a :class:`~repro.relational.windowed.WindowedSignatureCatalog`:
-  cached windowed join / self-join estimates, invalidated per relation,
-  with :meth:`~repro.service.service.CatalogService.at_window` adapting
-  any window to the optimizer's catalog protocol.
+  queries.  Over a fleet of tug-of-war sketches it also answers
+  cached join estimates and their error bounds between two keys
+  (each a relation), and ``at_window`` adapts any window to the
+  optimizer's catalog protocol.
+  :class:`~repro.service.keyed.KeyedSketchService` is the same class
+  with a constructor that accepts only a fleet.
 * :mod:`~repro.service.surface` — the transport-independent op table
   (op name ⇄ opcode ⇄ handler ⇄ idempotency) every server dispatches
   through, so each operation is defined exactly once.
@@ -37,7 +36,7 @@ from .aserver import EventLoopServer
 from .concurrency import ReadWriteLock, SingleFlightCache
 from .keyed import KeyedSketchService
 from .server import DEFAULT_READ_TIMEOUT, PROTOCOLS, SketchServiceServer
-from .service import CatalogService, SketchService, WindowEstimate, dirty_intervals
+from .service import SketchService, WindowEstimate, dirty_intervals
 from .surface import OPS, handle_frame, handle_request, validate_service
 from .wire import (
     DEFAULT_MAX_FRAME_BYTES,
@@ -50,7 +49,6 @@ from .wire import (
 __all__ = [
     "SketchService",
     "KeyedSketchService",
-    "CatalogService",
     "WindowEstimate",
     "SketchServiceServer",
     "EventLoopServer",

@@ -36,8 +36,8 @@ from typing import Callable, Hashable, Iterable, Iterator, Sequence, Tuple
 __all__ = ["ReadWriteLock", "SingleFlightCache"]
 
 #: (tag, b0, b1): a value depends on bucket range [b0, b1) of the store
-#: identified by ``tag`` (None for single-store services, the relation
-#: name for catalog services).
+#: identified by ``tag`` (None for a single stream, the key on a fleet;
+#: a join depends on two keys and carries one range for each).
 Range = Tuple[object, int, int]
 
 

@@ -33,14 +33,18 @@ them so many threads can estimate while ingestion keeps running:
 :class:`SketchService` serves one :class:`~repro.store.windowed.
 WindowedSketchStore` (the key ``None``) or a :class:`~repro.store.
 keyed.KeyedSketchStore` fleet, where every data-path op names a key
-and resolves that key's windowed store; :class:`CatalogService` wraps a
-:class:`~repro.relational.windowed.WindowedSignatureCatalog` with the
-same machinery, caching windowed join / self-join estimates per
-relation pair and invalidating only the entries that mention a dirtied
-relation.  ``CatalogService.at_window`` adapts a fixed window to the
-``join_estimate(left, right)`` protocol the :mod:`repro.planner`
-enumerators consume, so a join order can be chosen from cached
-windowed estimates directly.
+and resolves that key's windowed store.
+
+A fleet of tug-of-war sketches is also the paper's Section 4 catalog
+with a time axis: each relation is a key, every key's sketches share
+one seed, and the inner product of two keys' window sketches estimates
+their join size over that window.  ``join_estimate`` and
+``join_error_bound`` merge both windows under one read lock (one
+snapshot of both keys) and cache the estimate and its Lemma 4.4 bound
+in one entry per order-normalised pair and window, tagged with both
+keys, so a mutation of either key drops it.  ``at_window`` adapts a
+fixed window to the ``join_estimate(left, right)`` protocol the
+:mod:`repro.planner` enumerators consume.
 
 The ``repro serve`` CLI command puts this module on the wire through
 the threaded :class:`~repro.service.server.SketchServiceServer`
@@ -55,14 +59,14 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
+from ..core.bounds import ktw_join_error_bound
 from ..engine.protocol import Sketch
-from ..engine.registry import dump_sketch, load_sketch
-from ..relational.windowed import WindowedSignatureCatalog
+from ..engine.registry import dump_sketch, load_sketch, sketch_class
 from ..store.keyed import KeyedSketchStore, _store_items, validate_key
 from ..store.windowed import WindowedSketchStore
 from .concurrency import ReadWriteLock, SingleFlightCache
 
-__all__ = ["SketchService", "CatalogService", "WindowEstimate", "dirty_intervals"]
+__all__ = ["SketchService", "WindowEstimate", "dirty_intervals"]
 
 #: A bucket interval meaning "every window involving this tag".
 _EVERYWHERE = (-(1 << 62), 1 << 62)
@@ -161,7 +165,9 @@ class SketchService:
     wire surface's handled-error table, with the cluster front's
     wording), so a mismatched request fails instead of answering from
     the wrong stream.  A fleet answers an unseen key as an empty
-    stream.
+    stream.  A tug-of-war fleet also joins two keys (relations):
+    :meth:`join_estimate`, :meth:`join_error_bound` and
+    :meth:`at_window`.
 
     Examples
     --------
@@ -176,6 +182,8 @@ class SketchService:
     >>> fleet.estimate(0, 30, key="a") == service.estimate(0, 30)
     True
     >>> fleet.estimate(0, 30, key="never-seen")
+    0.0
+    >>> fleet.join_estimate("a", "never-seen", 0, 30)
     0.0
     """
 
@@ -344,6 +352,80 @@ class SketchService:
         return self._cache.get((tag, int(t0), int(t1), str(align)), compute)
 
     # ------------------------------------------------------------------
+    # Joins between two keys of a fleet (cached per pair and window)
+    # ------------------------------------------------------------------
+    def join_estimate(
+        self, left: str, right: str, t0: int, t1: int, align: str = "strict"
+    ) -> float:
+        """Estimated ``|left join right|`` over ``[t0, t1)`` (cached).
+
+        The inner product of both keys' sketches over one common
+        window: under ``align="outer"`` the window expands until it
+        splits neither key's spans, never to two different per-key
+        windows.  A key that never received a batch is an empty
+        relation, so its joins answer 0.0.
+        """
+        return self._pair(left, right, t0, t1, align)[0]
+
+    def join_error_bound(
+        self, left: str, right: str, t0: int, t1: int, align: str = "strict"
+    ) -> float:
+        """Lemma 4.4 standard error of :meth:`join_estimate` (cached).
+
+        ``sqrt(2 SJ(left) SJ(right) / k)`` with ``k = s1 * s2`` and the
+        two window sketches' own self-join estimates (clamped at 0);
+        it shares :meth:`join_estimate`'s cache entry, so asking for
+        both costs one merge.
+        """
+        return self._pair(left, right, t0, t1, align)[1]
+
+    def at_window(self, t0: int, t1: int, align: str = "strict") -> "_WindowView":
+        """A fixed-window view usable anywhere a
+        :class:`~repro.planner.estimators.CardinalityEstimator` is —
+        e.g. ``enumerate_greedy(JoinGraph.clique(sizes),
+        service.at_window(0, 3600))`` picks a join order from cached
+        windowed estimates.  The view also answers
+        ``join_error_bound``, so it satisfies the planner's bound-aware
+        backend protocol
+        (:class:`~repro.planner.estimators.ErrorBoundedCatalog`).
+        """
+        return _WindowView(self, t0, t1, align)
+
+    def _pair(
+        self, left: str, right: str, t0: int, t1: int, align: str
+    ) -> tuple[float, float]:
+        """The cached (join estimate, error bound) of two keys' window."""
+        if not hasattr(sketch_class(self.spec.kind), "inner_product"):
+            raise TypeError(
+                f"{self.spec.kind!r} sketches have no inner product; "
+                "join estimates need a 'tugofwar' fleet"
+            )
+        a, b = sorted((check_key(left, self._keyed), check_key(right, self._keyed)))
+
+        def compute() -> tuple[tuple[float, float], list]:
+            with self._rw.read():
+                stores = (self._resolve(a)[0], self._resolve(b)[0])
+                # Each key may expand an outer window over its own
+                # compacted spans; iterate to the window both accept.
+                lo, hi = int(t0), int(t1)
+                moved = True
+                while moved:
+                    moved = False
+                    for store in stores:
+                        bounds = store.window_bounds(lo, hi, align)
+                        if bounds != (lo, hi):
+                            (lo, hi), moved = bounds, True
+                lhs, rhs = (store.query_resolved(lo, hi) for store in stores)
+            bound = ktw_join_error_bound(
+                max(0.0, lhs.estimate()), max(0.0, rhs.estimate()), lhs.s1 * lhs.s2
+            )
+            b0 = (lo - self._store.origin) // self._store.bucket_width
+            b1 = (hi - self._store.origin) // self._store.bucket_width
+            return (lhs.inner_product(rhs), bound), [(a, b0, b1), (b, b0, b1)]
+
+        return self._cache.get(((a, b), int(t0), int(t1), str(align)), compute)
+
+    # ------------------------------------------------------------------
     # Introspection / persistence
     # ------------------------------------------------------------------
     @property
@@ -510,11 +592,11 @@ class SketchService:
 
 
 class _WindowView:
-    """A fixed-window facade satisfying the optimizer's catalog protocol."""
+    """A fixed window of a :class:`SketchService` fleet, as a planner catalog."""
 
     __slots__ = ("_service", "_t0", "_t1", "_align")
 
-    def __init__(self, service: "CatalogService", t0: int, t1: int, align: str):
+    def __init__(self, service: SketchService, t0: int, t1: int, align: str):
         self._service = service
         self._t0 = int(t0)
         self._t1 = int(t1)
@@ -528,9 +610,7 @@ class _WindowView:
 
     def self_join_estimate(self, name: str) -> float:
         """SJ(name) over this view's window (cached)."""
-        return self._service.self_join_estimate(
-            name, self._t0, self._t1, align=self._align
-        )
+        return self._service.estimate(self._t0, self._t1, self._align, key=name)
 
     def join_error_bound(self, left: str, right: str) -> float:
         """Lemma 4.4 standard error over this view's window (cached).
@@ -549,179 +629,3 @@ class _WindowView:
             f"_WindowView([{self._t0}, {self._t1}), align={self._align!r}, "
             f"of {self._service!r})"
         )
-
-
-class CatalogService:
-    """Thread-safe, cached windowed join estimates over many relations.
-
-    The same snapshot-isolation / merged-window-cache / coalescing
-    contract as :class:`SketchService`, lifted to a
-    :class:`~repro.relational.windowed.WindowedSignatureCatalog`:
-    cached values are windowed join-size and self-join estimates, each
-    tagged with the relations it reads so that ingesting into one
-    relation invalidates only the estimates that mention it (and only
-    over the dirtied spans).
-    """
-
-    def __init__(
-        self, catalog: WindowedSignatureCatalog, cache_entries: int = 256
-    ):
-        if not isinstance(catalog, WindowedSignatureCatalog):
-            raise TypeError(
-                "catalog must be a WindowedSignatureCatalog, got "
-                f"{type(catalog).__name__}"
-            )
-        self._catalog = catalog
-        self._rw = ReadWriteLock()
-        self._cache = SingleFlightCache(cache_entries)
-
-    # -- mutations ---------------------------------------------------------
-    def register(self, name: str) -> None:
-        """Start tracking a relation (its store begins empty)."""
-        with self._rw.write():
-            self._catalog.register(name)
-            # A re-registered name must not inherit estimates cached
-            # before a drop().
-            self._cache.invalidate(name, [_EVERYWHERE])
-
-    def drop(self, name: str) -> None:
-        """Stop tracking a relation; drops every estimate mentioning it."""
-        with self._rw.write():
-            self._catalog.drop(name)
-            self._cache.invalidate(name, [_EVERYWHERE])
-
-    def ingest(
-        self,
-        name: str,
-        timestamps: np.ndarray | Iterable[int],
-        values: np.ndarray | Iterable[int],
-        counts: np.ndarray | Iterable[int] | None = None,
-    ) -> None:
-        """Route one relation's timestamped batch atomically."""
-        ts = np.asarray(timestamps, dtype=np.int64)
-        with self._rw.write():
-            store = self._catalog.store(name)
-            touched = (
-                np.unique((ts - store.origin) // store.bucket_width)
-                if ts.ndim == 1 and ts.size
-                else np.empty(0, dtype=np.int64)
-            )
-            before = store.bucket_spans
-            try:
-                store.ingest(ts, values, counts=counts)
-            finally:
-                self._cache.invalidate(
-                    name, dirty_intervals(store, before, touched.tolist())
-                )
-
-    # -- queries -----------------------------------------------------------
-    def join_estimate(
-        self, left: str, right: str, t0: int, t1: int, align: str = "strict"
-    ) -> float:
-        """Estimated ``|left join right|`` over ``[t0, t1)`` (cached).
-
-        The key is order-normalised: the inner product is symmetric, so
-        ``(left, right)`` and ``(right, left)`` share one cache entry.
-        """
-        a, b = sorted((str(left), str(right)))
-        key = ("join", a, b, int(t0), int(t1), str(align))
-
-        def compute() -> tuple[float, list]:
-            with self._rw.read():
-                lo, hi = self._catalog.window_bounds(
-                    t0, t1, names=(left, right), align=align
-                )
-                value = float(
-                    self._catalog.join_estimate(left, right, t0, t1, align=align)
-                )
-            b0, b1 = self._bucket_range(lo, hi)
-            return value, [(a, b0, b1), (b, b0, b1)]
-
-        return self._cache.get(key, compute)
-
-    def self_join_estimate(
-        self, name: str, t0: int, t1: int, align: str = "strict"
-    ) -> float:
-        """Estimated SJ of one relation over ``[t0, t1)`` (cached)."""
-        key = ("self", str(name), int(t0), int(t1), str(align))
-
-        def compute() -> tuple[float, list]:
-            with self._rw.read():
-                lo, hi = self._catalog.window_bounds(
-                    t0, t1, names=(name,), align=align
-                )
-                value = float(
-                    self._catalog.self_join_estimate(name, t0, t1, align=align)
-                )
-            b0, b1 = self._bucket_range(lo, hi)
-            return value, [(str(name), b0, b1)]
-
-        return self._cache.get(key, compute)
-
-    def join_error_bound(
-        self, left: str, right: str, t0: int, t1: int, align: str = "strict"
-    ) -> float:
-        """Lemma 4.4 standard error over ``[t0, t1)`` (cached).
-
-        The key is order-normalised like :meth:`join_estimate`; the
-        entry is tagged with both relations so ingesting into either
-        invalidates it over the dirtied spans.
-        """
-        a, b = sorted((str(left), str(right)))
-        key = ("bound", a, b, int(t0), int(t1), str(align))
-
-        def compute() -> tuple[float, list]:
-            with self._rw.read():
-                lo, hi = self._catalog.window_bounds(
-                    t0, t1, names=(left, right), align=align
-                )
-                value = float(
-                    self._catalog.join_error_bound(left, right, t0, t1, align=align)
-                )
-            b0, b1 = self._bucket_range(lo, hi)
-            return value, [(a, b0, b1), (b, b0, b1)]
-
-        return self._cache.get(key, compute)
-
-    def at_window(self, t0: int, t1: int, align: str = "strict"):
-        """A fixed-window view usable anywhere a
-        :class:`~repro.planner.estimators.CardinalityEstimator` is —
-        e.g. ``enumerate_greedy(JoinGraph.clique(sizes),
-        service.at_window(0, 3600))`` picks a join order from cached
-        windowed estimates.  The view also answers
-        ``join_error_bound``, so it satisfies the planner's bound-aware
-        backend protocol
-        (:class:`~repro.planner.estimators.ErrorBoundedCatalog`).
-        """
-        return _WindowView(self, t0, t1, align)
-
-    def _bucket_range(self, lo: int, hi: int) -> tuple[int, int]:
-        width = self._catalog.bucket_width
-        origin = self._catalog.origin
-        return (lo - origin) // width, (hi - origin) // width
-
-    # -- introspection -----------------------------------------------------
-    @property
-    def relations(self) -> list[str]:
-        with self._rw.read():
-            return self._catalog.relations
-
-    @property
-    def k(self) -> int:
-        return self._catalog.k
-
-    @property
-    def memory_words(self) -> int:
-        with self._rw.read():
-            return self._catalog.memory_words
-
-    def stats(self) -> dict:
-        """Cache statistics: hits, misses, coalesced, invalidated, entries."""
-        return self._cache.stats
-
-    def __contains__(self, name: str) -> bool:
-        with self._rw.read():
-            return name in self._catalog
-
-    def __repr__(self) -> str:  # pragma: no cover - cosmetic
-        return f"CatalogService({self._catalog!r}, cache={self._cache.stats})"

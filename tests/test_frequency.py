@@ -54,6 +54,26 @@ class TestFrequencyVector:
         with pytest.raises(KeyError):
             fv.delete(1)
 
+    @pytest.mark.parametrize(
+        "values, counts, message",
+        [
+            ([7, 8], [-1, -1], "value 8: only 0 present"),
+            ([9, 7, 7], [-1, 1, -3], "delete 3 occurrences of value 7: only 2"),
+            ([9, 7, 7], [1, -2, 1], "delete 2 occurrences of value 7: only 1"),
+        ],
+        ids=["absent-value", "running-total", "entry-order"],
+    )
+    def test_refused_batch_changes_nothing(self, values, counts, message):
+        # Refused at the entry pairwise updates would refuse, with the
+        # running totals of the entries before it, none of them applied.
+        fv = FrequencyVector()
+        fv.update_from_frequencies([7, 9], [1, 1])
+        with pytest.raises(KeyError, match=message):
+            fv.update_from_frequencies(values, counts)
+        assert (fv.frequency(7), fv.frequency(9), fv.total, fv.distinct) == (
+            1, 1, 2, 2
+        )
+
     def test_from_stream(self, small_stream):
         fv = FrequencyVector.from_stream(small_stream)
         assert fv.total == small_stream.size

@@ -134,6 +134,20 @@ class TestKeyCardinality:
         ):
             KeyedSketchStore(spec, bucket_width=10)
 
+    @pytest.mark.parametrize(
+        "settings, field",
+        [
+            ({"bucket_width": 0}, "bucket_width"),
+            ({"retention_policy": "bogus"}, "retention_policy"),
+            ({"retention_buckets": 0}, "retention_buckets"),
+        ],
+        ids=["bucket_width", "retention_policy", "retention_buckets"],
+    )
+    def test_bad_settings_refused_at_construction(self, settings, field):
+        # Not when the first key arrives, which may come long after.
+        with pytest.raises(ValueError, match=field):
+            KeyedSketchStore(SPEC, **{"bucket_width": 10, **settings})
+
     def test_new_keys_build_no_sketch(self, monkeypatch):
         # The template is checked once, when the fleet is made: a new
         # key's store and its first small buckets build nothing.

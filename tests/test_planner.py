@@ -500,24 +500,23 @@ def test_dp_and_greedy_agree_on_tiny_graphs(sizes, seed):
 
 
 class TestServiceWindowPlanning:
-    """Planning over live windowed data through CatalogService."""
+    """Planning over live windowed data: a keyed fleet behind SketchService."""
 
     @pytest.fixture
     def service(self, rng):
-        from repro.relational import WindowedSignatureCatalog
-        from repro.service import CatalogService
+        from repro.service import SketchService
+        from repro.store import KeyedSketchStore, SketchSpec
 
-        catalog = WindowedSignatureCatalog(k=512, bucket_width=10, seed=2)
-        service = CatalogService(catalog)
+        spec = SketchSpec("tugofwar", {"s1": 102, "s2": 5, "seed": 2})
+        service = SketchService(KeyedSketchStore(spec, bucket_width=10))
         self.streams = {
             "A": rng.integers(0, 30, size=2000),
             "B": rng.integers(0, 30, size=1800),
             "C": rng.integers(0, 30, size=1500),
         }
         for name, values in self.streams.items():
-            service.register(name)
             ts = rng.integers(0, 50, size=values.size)
-            service.ingest(name, ts, values)
+            service.ingest(ts, values, key=name)
         return service
 
     def test_window_view_supports_bound_aware_planning(self, service):
@@ -544,29 +543,26 @@ class TestServiceWindowPlanning:
         assert stats["misses"] == before + 1
         assert stats["hits"] >= 1
 
+    def test_bound_aware_estimate_merges_once(self, service):
+        # The estimate and its bound come from one cache entry.
+        BoundAwareCardinalities(service.at_window(0, 50)).join_estimate("A", "C")
+        assert service.stats()["misses"] == 1
+
     def test_ingest_invalidates_bound_entries(self, service, rng):
         first = service.join_error_bound("A", "B", 0, 50)
         service.ingest(
-            "A", rng.integers(0, 50, size=200), rng.integers(0, 30, size=200)
+            rng.integers(0, 50, size=200), rng.integers(0, 30, size=200), key="A"
         )
         after = service.join_error_bound("A", "B", 0, 50)
         assert after != first  # recomputed over the mutated window
 
-    def test_windowed_bound_matches_catalog_formula(self, rng):
+    def test_windowed_bound_matches_catalog_formula(self, service):
         from repro.core.bounds import ktw_join_error_bound
-        from repro.relational import WindowedSignatureCatalog
 
-        catalog = WindowedSignatureCatalog(k=500, bucket_width=10, seed=2, s2=5)
-        for name in ("A", "B"):
-            catalog.register(name)
-            catalog.ingest(
-                name,
-                rng.integers(0, 50, size=1000),
-                rng.integers(0, 30, size=1000),
-            )
+        view = service.at_window(0, 50)
         expected = ktw_join_error_bound(
-            max(0.0, catalog.self_join_estimate("A", 0, 50)),
-            max(0.0, catalog.self_join_estimate("B", 0, 50)),
-            catalog.k,
+            max(0.0, view.self_join_estimate("A")),
+            max(0.0, view.self_join_estimate("B")),
+            510,
         )
-        assert catalog.join_error_bound("A", "B", 0, 50) == pytest.approx(expected)
+        assert view.join_error_bound("A", "B") == expected

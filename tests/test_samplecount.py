@@ -146,6 +146,27 @@ class TestDeletions:
         with pytest.raises(ValueError, match="empty"):
             SampleCountSketch(s1=2, seed=0).delete(1)
 
+    @pytest.mark.parametrize("cls", [SampleCountSketch, SampleCountFastQuery])
+    @pytest.mark.parametrize(
+        "apply",
+        [
+            lambda sk: sk.update(5, -3),
+            lambda sk: sk.update_from_frequencies([5, 6], [3, -5]),
+        ],
+        ids=["update", "update_from_frequencies"],
+    )
+    def test_refused_deletions_change_nothing(self, cls, apply):
+        # Inserts come first in the stream order, so the multiset size
+        # is smallest at the end: checked before anything is applied.
+        sk = cls(s1=8, s2=2, seed=0)
+        sk.insert(5)
+        before = sk.to_dict()
+        with pytest.raises(ValueError, match="empty multiset"):
+            apply(sk)
+        assert sk.n == 1
+        assert sk.to_dict() == before
+        sk.check_invariants()
+
     def test_mixed_workload_invariants(self, rng):
         sk = SampleCountSketch(s1=32, s2=3, seed=6, initial_range=500)
         live: list[int] = []

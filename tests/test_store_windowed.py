@@ -184,6 +184,25 @@ class TestRoutingAndWindows:
         with pytest.raises(ValueError, match=r"bucket span \[10, 20\)"):
             store.ingest([15], [7], counts=[-1])
 
+    @pytest.mark.parametrize(
+        "spec",
+        [
+            SketchSpec("frequency"),
+            SketchSpec("samplecount", {"s1": 8, "seed": 1}),
+            SketchSpec("samplecount-fast", {"s1": 8, "seed": 1}),
+        ],
+        ids=lambda spec: spec.kind,
+    )
+    def test_refused_deleting_group_changes_nothing(self, spec):
+        # The exact kind refuses 9's -4 after 7's -1 and 8's +1; the
+        # samplers refuse a net size of -2.  Neither applies a part.
+        store = WindowedSketchStore(spec, bucket_width=10)
+        store.ingest([1, 2], [7, 9])
+        before = store.to_dict()
+        with pytest.raises(ValueError, match=r"bucket span \[0, 10\)"):
+            store.ingest([3, 4, 5], [7, 8, 9], counts=[-1, 1, -4])
+        assert store.to_dict() == before
+
     def test_negative_timestamps_and_origin(self):
         store = WindowedSketchStore(TW_SPEC, bucket_width=10, origin=-30)
         store.ingest([-30, -21, -1], [1, 2, 3])
