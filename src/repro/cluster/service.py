@@ -150,7 +150,7 @@ class _Unit:
 
     __slots__ = (
         "epoch", "shard", "replicas", "candidates", "next",
-        "deadline", "pending", "votes", "response", "error", "done",
+        "deadline", "pending", "response", "error", "done",
     )
 
     def __init__(self, epoch: int, shard: int, replicas, candidates):
@@ -161,7 +161,6 @@ class _Unit:
         self.next = 0
         self.deadline = None
         self.pending = set()
-        self.votes = []
         self.response = None
         self.error = None
         self.done = False
@@ -191,11 +190,9 @@ class ClusterService:
         (``[[client], ...]`` for an unreplicated fleet, or
         :meth:`~repro.cluster.local.LocalCluster.replica_clients`).
         Shard order **is** the partition map, so it must match the
-        order ingest has always used against these workers.
-    partition_seed:
-        Seed of the value-hash partitioner.  Defaults to the sketch
-        spec's own seed, so a front end restarted against the same
-        workers routes identically without extra coordination.
+        order ingest has always used against these workers.  The
+        partitioner takes the spec's own seed, so a front end
+        restarted against the same workers routes identically.
     supervisor:
         An object with ``respawn(client) -> client`` and
         ``spawn_replica_set(replication) -> [client]`` (a
@@ -226,7 +223,6 @@ class ClusterService:
     def __init__(
         self,
         clients: Sequence,
-        partition_seed: int | None = None,
         supervisor=None,
         hedge_delay: float | None = DEFAULT_HEDGE_DELAY,
         read_mode: str = "hedged",
@@ -264,33 +260,10 @@ class ClusterService:
             thread_name_prefix="cluster-scatter",
         )
         try:
-            flat = [
-                (s, r, replica)
-                for s, group in enumerate(sets)
-                for r, replica in enumerate(group)
-            ]
-            infos = self._probe([replica for _, _, replica in flat])
-            reference = infos[0]
-            for (s, r, replica), info in zip(flat[1:], infos[1:]):
-                for field in ("spec", "bucket_width", "origin"):
-                    if info.get(field) != reference.get(field):
-                        raise ClusterConfigError(
-                            f"shard {s} replica {r} "
-                            f"({replica.client.address}) disagrees on "
-                            f"{field}: {info.get(field)!r} != "
-                            f"{reference.get(field)!r} (shard 0 replica 0, "
-                            f"{flat[0][2].client.address})"
-                        )
-                if bool(info.get("keyed")) != bool(reference.get("keyed")):
-                    raise ClusterConfigError(
-                        f"shard {s} replica {r} ({replica.client.address}) "
-                        f"serves a {'keyed' if info.get('keyed') else 'plain'}"
-                        f" store while shard 0 replica 0 serves a "
-                        f"{'keyed' if reference.get('keyed') else 'plain'} one"
-                    )
+            reference = self._admit(sets)
             if "spec" not in reference:
                 raise ClusterConfigError(
-                    f"shard {flat[0][2].client.address} reported no sketch "
+                    f"shard {sets[0][0].client.address} reported no sketch "
                     "spec; workers must run this repo's generalized server"
                 )
             self._spec = SketchSpec.from_dict(reference["spec"])
@@ -305,15 +278,12 @@ class ClusterService:
             # caller has no handle to close a half-built service.
             self._pool.shutdown(wait=True)
             raise
+        self._reference = reference
         self._bucket_width = int(reference["bucket_width"])
         self._origin = int(reference["origin"])
         self._keyed = bool(reference.get("keyed"))
-        if partition_seed is None:
-            partition_seed = int(self._spec.params.get("seed", 0))
-        self._partition_seed = int(partition_seed)
-        self._epochs = [
-            _Epoch(HashPartitioner(len(sets), seed=self._partition_seed), sets)
-        ]
+        seed = int(self._spec.params.get("seed", 0))
+        self._epochs = [_Epoch(HashPartitioner(len(sets), seed=seed), sets)]
 
     # ------------------------------------------------------------------
     # Scatter plumbing
@@ -335,6 +305,43 @@ class ClusterService:
             raise first_error
         return results
 
+    def _admit(self, sets: Sequence[Sequence[_Replica]], reference=None) -> dict:
+        """Probe every replica of ``sets`` at once; refuse any misfit.
+
+        Each replica's spec, bucket geometry and store shape must equal
+        ``reference`` (the cluster's, when :meth:`reshard` admits a new
+        epoch) or, at construction, shard 0 replica 0's.  Returns the
+        reference ``info``.
+        """
+        flat = [
+            (s, r, replica)
+            for s, group in enumerate(sets)
+            for r, replica in enumerate(group)
+        ]
+        infos = self._probe([replica for _, _, replica in flat])
+        if reference is None:
+            reference, prefix, source = infos[0], "", "shard 0 replica 0"
+            cited = f"{source}, {flat[0][2].client.address}"
+        else:
+            prefix, source = "new epoch ", "the cluster"
+            cited = source
+        for (s, r, replica), info in zip(flat, infos):
+            where = f"{prefix}shard {s} replica {r} ({replica.client.address})"
+            for field in ("spec", "bucket_width", "origin"):
+                if info.get(field) != reference.get(field):
+                    raise ClusterConfigError(
+                        f"{where} disagrees on {field}: {info.get(field)!r} "
+                        f"!= {reference.get(field)!r} ({cited})"
+                    )
+            if bool(info.get("keyed")) != bool(reference.get("keyed")):
+                raise ClusterConfigError(
+                    f"{where} serves a "
+                    f"{'keyed' if info.get('keyed') else 'plain'} store while "
+                    f"{source} serves a "
+                    f"{'keyed' if reference.get('keyed') else 'plain'} one"
+                )
+        return reference
+
     @property
     def _partitioner(self) -> HashPartitioner:
         """The partitioner new batches route under (newest epoch's)."""
@@ -349,29 +356,22 @@ class ClusterService:
         ]
 
     @staticmethod
-    def _candidates(replicas: Sequence[_Replica]) -> list[_Replica]:
-        """Replicas in dispatch order: live first, fewest strikes first.
+    def _targets(replicas: Sequence[_Replica]) -> list[_Replica]:
+        """Replicas a fan-out goes to: the live ones, in set order.
 
         A marked singleton is still returned — with no peer to diverge
         from, retrying it is both safe and the only option, and a
         success clears its mark (the pre-replication semantics).
         """
         live = [r for r in replicas if r.live]
-        if live:
-            return sorted(live, key=lambda r: r.strikes)
-        if len(replicas) == 1:
-            return list(replicas)
-        return []
-
-    @staticmethod
-    def _targets(replicas: Sequence[_Replica]) -> list[_Replica]:
-        """Replicas a mutation fans out to (same fallback rule)."""
-        live = [r for r in replicas if r.live]
-        if live:
+        if live or len(replicas) != 1:
             return live
-        if len(replicas) == 1:
-            return list(replicas)
-        return []
+        return list(replicas)
+
+    @classmethod
+    def _candidates(cls, replicas: Sequence[_Replica]) -> list[_Replica]:
+        """Replicas in read dispatch order: targets, fewest strikes first."""
+        return sorted(cls._targets(replicas), key=lambda r: r.strikes)
 
     @staticmethod
     def _set_error(epoch: int, shard: int, replicas) -> Exception:
@@ -501,67 +501,33 @@ class ClusterService:
         first_error = next((u.error for u in units if u.error is not None), None)
         return [u.response for u in units], first_error
 
-    def _quorum_read(self, payload: Mapping) -> tuple[list, Exception | None]:
-        """Every replica answers; majority wins; minority is marked.
+    @staticmethod
+    def _vote(answers: Sequence[tuple]) -> dict:
+        """The majority answer of one replica set; the minority is marked.
 
         Exact, not probabilistic: replica state is a deterministic
         function of the acked stream, so a divergent answer means a
-        divergent replica — the minority is quarantined and restored
-        from the majority by the repair pass.
+        divergent replica — the minority turns suspect and the repair
+        pass restores it from the majority.  Ties go to dispatch order
+        (fewest strikes first).
         """
-        units = [
-            _Unit(e, s, replicas, self._candidates(replicas))
-            for e, s, replicas in self._units()
-        ]
-        futures: dict = {}
-        for unit in units:
-            for replica in unit.candidates:
-                futures[
-                    self._pool.submit(replica.client.request, dict(payload))
-                ] = (unit, replica)
-        for future, (unit, replica) in futures.items():
-            try:
-                response = future.result()
-            except ShardRequestError as exc:
-                unit.error = unit.error or exc
-            except ShardUnreachableError as exc:
-                replica.dead, replica.error = True, exc
-            except ShardProtocolError as exc:
-                replica.suspect, replica.error = True, exc
-            except Exception as exc:  # noqa: BLE001 - malformed response
-                unit.error = unit.error or exc
-            else:
-                unit.votes.append((replica, response))
-                self._clear_if_marked(replica)
-        first_error = None
-        for unit in units:
-            if unit.votes:
-                groups: dict = {}
-                for order, (replica, response) in enumerate(unit.votes):
-                    groups.setdefault(_canon(response), []).append(
-                        (order, replica, response)
-                    )
-                ranked = sorted(
-                    groups.values(), key=lambda g: (-len(g), g[0][0])
-                )
-                unit.response = ranked[0][0][2]
-                for group in ranked[1:]:
-                    for _, replica, _resp in group:
-                        replica.suspect = True
-            elif unit.error is None:
-                unit.error = self._set_error(unit.epoch, unit.shard, unit.replicas)
-            if unit.response is None and unit.error is not None and first_error is None:
-                first_error = unit.error
-        return [u.response for u in units], first_error
+        groups: dict = {}
+        for replica, response in sorted(answers, key=lambda a: a[0].strikes):
+            groups.setdefault(_canon(response), []).append((replica, response))
+        ranked = sorted(groups.values(), key=len, reverse=True)
+        for group in ranked[1:]:
+            for replica, _ in group:
+                replica.suspect = True
+        return ranked[0][0][1]
 
     def _scatter_read(self, payload: Mapping) -> list[dict]:
         """One well-formed response per (epoch, shard) unit, in order."""
         if self._read_mode == "quorum":
-            responses, first_error = self._quorum_read(payload)
+            responses = [self._vote(a) for a in self._scatter_all(payload)]
         else:
             responses, first_error = self._hedged_read(payload)
-        if first_error is not None:
-            raise first_error
+            if first_error is not None:
+                raise first_error
         self._repair()
         return responses
 
@@ -710,7 +676,7 @@ class ClusterService:
                 (epoch, np.flatnonzero(owner == e))
                 for e, epoch in enumerate(self._epochs)
             ]
-        futures: dict = {}
+        jobs = []
         for epoch, selection in assignments:
             epoch_route = route if selection is None else route[selection]
             if epoch_route.size == 0:
@@ -735,80 +701,68 @@ class ClusterService:
                     payload["counts"] = cnts[idx]
                 if key is not None:
                     payload["key"] = key
-                for replica in self._targets(epoch.sets[shard]):
-                    futures[
-                        self._pool.submit(replica.client.request, dict(payload))
-                    ] = replica
-        request_error = None
-        unexpected = None
-        for future, replica in futures.items():
-            try:
-                future.result()
-            except ShardRequestError as exc:
-                if request_error is None:
-                    request_error = exc
-            except ShardUnreachableError as exc:
-                replica.dead, replica.error = True, exc
-            except ShardProtocolError as exc:
-                replica.suspect, replica.error = True, exc
-            except Exception as exc:  # noqa: BLE001 - re-raised below
-                if unexpected is None:
-                    unexpected = exc
-            else:
-                self._clear_if_marked(replica)
+                jobs.append((epoch.sets[shard], payload))
+        self._fan_out(jobs)
+
+    def _fan_out(self, jobs: Sequence[tuple]) -> list[list[tuple]]:
+        """Send each ``(replica set, payload)`` job to its live replicas.
+
+        Every job goes to every live replica of its set at once, and
+        every outcome is classified by one rule: an unreachable replica
+        is marked dead, an ambiguous one (``ShardProtocolError``)
+        suspect, and an answer clears a singleton's mark.  Any other
+        exception is raised first, before repair.  Then the repair pass
+        restores every marked replica from an answering peer, and only
+        then does the first refusal (``ShardRequestError``) surface: a
+        refused request left every replica unchanged, so donors are
+        exact, and a set whose every replica failed makes
+        :meth:`_repair` raise — the request really is lost there.
+        Returns each job's ``(replica, response)`` pairs, in dispatch
+        order.
+        """
+        submitted = [
+            [
+                (replica, self._pool.submit(replica.client.request, dict(payload)))
+                for replica in self._targets(replicas)
+            ]
+            for replicas, payload in jobs
+        ]
+        answers: list[list[tuple]] = []
+        refusal = unexpected = None
+        for calls in submitted:
+            answered = []
+            for replica, future in calls:
+                try:
+                    answered.append((replica, future.result()))
+                except ShardRequestError as exc:
+                    refusal = refusal or exc
+                except ShardUnreachableError as exc:
+                    replica.dead, replica.error = True, exc
+                except ShardProtocolError as exc:
+                    replica.suspect, replica.error = True, exc
+                except Exception as exc:  # noqa: BLE001 - re-raised below
+                    unexpected = unexpected or exc
+                else:
+                    self._clear_if_marked(replica)
+            answers.append(answered)
         if unexpected is not None:
             raise unexpected
-        # Repair before surfacing a deterministic refusal: a refused
-        # batch left every replica unchanged, so donors are exact, and
-        # a set whose every replica failed makes _repair raise — the
-        # batch really is lost there.
         self._repair()
-        if request_error is not None:
-            raise request_error
+        if refusal is not None:
+            raise refusal
+        return answers
 
     def _scatter_all(self, payload: Mapping) -> list[list[tuple]]:
         """Fan one request to every live replica of every epoch.
 
-        Returns, per (epoch, shard) unit in query order, the list of
+        Returns, per (epoch, shard) unit in query order, the
         ``(replica, response)`` pairs that succeeded.  Used by
-        cluster-wide mutations (compact / evict / restore-alike) and
-        by stats, which wants every replica's answer individually.
+        cluster-wide mutations (compact / evict), by stats, which wants
+        every replica's answer individually, and by quorum reads.
         """
-        units = self._units()
-        futures: dict = {}
-        for e, s, replicas in units:
-            for replica in self._targets(replicas):
-                futures[
-                    self._pool.submit(replica.client.request, dict(payload))
-                ] = (e, s, replica)
-        results: dict = {}
-        request_error = None
-        unexpected = None
-        for future, (e, s, replica) in futures.items():
-            try:
-                response = future.result()
-            except ShardRequestError as exc:
-                if request_error is None:
-                    request_error = exc
-            except ShardUnreachableError as exc:
-                replica.dead, replica.error = True, exc
-            except ShardProtocolError as exc:
-                replica.suspect, replica.error = True, exc
-            except Exception as exc:  # noqa: BLE001 - re-raised below
-                if unexpected is None:
-                    unexpected = exc
-            else:
-                results.setdefault((e, s), []).append((replica, response))
-                self._clear_if_marked(replica)
-        if unexpected is not None:
-            raise unexpected
-        self._repair()
-        if request_error is not None:
-            raise request_error
-        for e, s, replicas in units:
-            if (e, s) not in results:  # pragma: no cover - _repair raises first
-                raise self._set_error(e, s, replicas)
-        return [results[(e, s)] for e, s, _ in units]
+        return self._fan_out(
+            [(replicas, payload) for _, _, replicas in self._units()]
+        )
 
     def compact(self, before: int | None = None, key: str | None = None) -> int:
         """Fold old spans on every shard; returns total spans folded.
@@ -964,28 +918,14 @@ class ClusterService:
                 f"start {previous_start}; epochs must be ordered in time"
             )
         with self._admin_lock:
-            new_sets: list[list[_Replica]] = []
-            for _ in range(int(num_shards)):
-                clients = self._supervisor.spawn_replica_set(replication)
-                new_sets.append([_Replica(c) for c in clients])
-            expected_spec = self._spec.to_dict()
-            for s, replicas in enumerate(new_sets):
-                for r, replica in enumerate(replicas):
-                    info = replica.client.request({"op": "info"})
-                    if (
-                        info.get("spec") != expected_spec
-                        or int(info["bucket_width"]) != self._bucket_width
-                        or int(info["origin"]) != self._origin
-                        or bool(info.get("keyed")) != self._keyed
-                    ):
-                        raise ClusterConfigError(
-                            f"new epoch shard {s} replica {r} "
-                            f"({replica.client.address}) disagrees on spec "
-                            "or bucket geometry with the cluster"
-                        )
+            new_sets = [
+                [_Replica(c) for c in self._supervisor.spawn_replica_set(replication)]
+                for _ in range(int(num_shards))
+            ]
+            self._admit(new_sets, self._reference)
             self._epochs.append(
                 _Epoch(
-                    HashPartitioner(int(num_shards), seed=self._partition_seed),
+                    HashPartitioner(int(num_shards), seed=self._partitioner.seed),
                     new_sets,
                     start=int(cutover),
                 )
@@ -1220,30 +1160,13 @@ class ClusterService:
                     f"{0 if not isinstance(shards, Sequence) else len(shards)} "
                     f"shard store(s), the cluster has {len(epoch.sets)}"
                 )
-        futures: dict = {}
-        for entry, epoch in zip(epochs_in, self._epochs):
-            for store, replicas in zip(entry["shards"], epoch.sets):
-                payload = {"op": "restore", "snapshot": store}
-                for replica in self._targets(replicas):
-                    futures[
-                        self._pool.submit(replica.client.request, dict(payload))
-                    ] = replica
-        request_error = None
-        for future, replica in futures.items():
-            try:
-                future.result()
-            except ShardRequestError as exc:
-                if request_error is None:
-                    request_error = exc
-            except ShardUnreachableError as exc:
-                replica.dead, replica.error = True, exc
-            except ShardProtocolError as exc:
-                replica.suspect, replica.error = True, exc
-            else:
-                self._clear_if_marked(replica)
-        self._repair()
-        if request_error is not None:
-            raise request_error
+        self._fan_out(
+            [
+                (replicas, {"op": "restore", "snapshot": store})
+                for entry, epoch in zip(epochs_in, self._epochs)
+                for store, replicas in zip(entry["shards"], epoch.sets)
+            ]
+        )
 
     def stats(self, key: str | None = None) -> dict:
         """Cache statistics summed over every replica, plus topology.

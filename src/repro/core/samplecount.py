@@ -69,7 +69,7 @@ from ..kernels import (
     counter_u64_one,
     sampler_segment_counts,
 )
-from ..streams.reservoir import _fresh_seed, _require_counter_rng
+from ..streams.reservoir import _fresh_seed, _require_counter_rng, skip_length
 from .estimators import group_shape_for, median_of_means
 
 __all__ = [
@@ -232,8 +232,9 @@ class SampleCountSketch(Sketch):
     def _next_position(self, i: int, p: int) -> int:
         """The next replacement position of slot i firing at position p.
 
-        A size-1 reservoir at ``base`` next accepts at ``ceil(base / u)``
-        (survival law P(next > x) = base / x), clamped to base + 1;
+        A size-1 reservoir at ``base = max(p, initial_range)`` next
+        accepts at :func:`~repro.streams.reservoir.skip_length`'s
+        ``ceil(base / u)`` (survival law P(next > x) = base / x);
         the expected gap ~ base is what makes all s reservoirs cost
         O(1) amortised once n >= s log s.  The uniform is draw ``i`` at
         stream position ``p`` — a pure function of (seed, p, i), so the
@@ -241,9 +242,9 @@ class SampleCountSketch(Sketch):
         front and still land on exactly the positions a scalar insert
         loop would have drawn.
         """
-        base = max(p, self.initial_range)
-        u = counter_u01_one(self._key, p, i)
-        return max(base + 1, math.ceil(base / u))
+        return skip_length(
+            max(p, self.initial_range), counter_u01_one(self._key, p, i)
+        )
 
     def _pending_add(self, position: int, i: int) -> None:
         """Register slot i to (re)sample at ``position``.

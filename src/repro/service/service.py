@@ -395,6 +395,11 @@ class SketchService:
         self, left: str, right: str, t0: int, t1: int, align: str
     ) -> tuple[float, float]:
         """The cached (join estimate, error bound) of two keys' window."""
+        if not self._keyed:
+            raise TypeError(
+                "this service serves an unkeyed store; joins need a keyed "
+                "fleet, one key per relation"
+            )
         if not hasattr(sketch_class(self.spec.kind), "inner_product"):
             raise TypeError(
                 f"{self.spec.kind!r} sketches have no inner product; "

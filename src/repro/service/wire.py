@@ -102,7 +102,6 @@ __all__ = [
     "pack_frame",
     "unpack_header",
     "read_frame",
-    "FrameDecoder",
     "encode_compact",
     "decode_compact",
     "integer_column",
@@ -233,42 +232,6 @@ def read_frame(
             f"truncated frame payload: got {len(payload)} of {length} bytes"
         )
     return version, opcode, flags, payload
-
-
-class FrameDecoder:
-    """Incremental frame parser over an arbitrary byte-chunk feed.
-
-    ``feed`` bytes as they arrive; iterate :meth:`frames` to drain
-    every complete frame.  Malformed input raises on the *next* drain,
-    leaving previously parsed frames intact — a transport loop can
-    answer them before reporting the error.
-    """
-
-    def __init__(self, max_frame_bytes: int = DEFAULT_MAX_FRAME_BYTES):
-        self.max_frame_bytes = int(max_frame_bytes)
-        self._buf = bytearray()
-
-    def feed(self, data: bytes | bytearray | memoryview) -> None:
-        """Append a chunk of received bytes to the parse buffer."""
-        self._buf += data
-
-    @property
-    def pending_bytes(self) -> int:
-        """Bytes buffered but not yet drained as complete frames."""
-        return len(self._buf)
-
-    def frames(self):
-        """Yield ``(version, opcode, flags, payload)`` for each
-        complete frame currently buffered."""
-        while len(self._buf) >= HEADER_SIZE:
-            version, opcode, flags, length = unpack_header(
-                bytes(self._buf[:HEADER_SIZE]), self.max_frame_bytes
-            )
-            if len(self._buf) < HEADER_SIZE + length:
-                return
-            payload = bytes(self._buf[HEADER_SIZE:HEADER_SIZE + length])
-            del self._buf[:HEADER_SIZE + length]
-            yield version, opcode, flags, payload
 
 
 # ----------------------------------------------------------------------

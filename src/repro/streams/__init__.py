@@ -24,7 +24,7 @@ from .operations import (
     Query,
     replay,
 )
-from .reservoir import ReservoirSample, SingleReservoir
+from .reservoir import ReservoirSample
 
 __all__ = [
     "Insert",
@@ -36,5 +36,4 @@ __all__ = [
     "canonical_sequence",
     "remaining_multiset",
     "ReservoirSample",
-    "SingleReservoir",
 ]

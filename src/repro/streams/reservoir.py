@@ -6,17 +6,15 @@ flipping a coin per insertion, drawing the *next position at which the
 reservoir accepts* directly from the skip distribution.  This module
 provides:
 
-* :class:`SingleReservoir` — a size-1 reservoir exposing both the
-  coin-flip and the skipping interface.  The skipping law for a
-  reservoir currently holding position m is ``P(next > x) = m / x``
-  (survive positions m+1..x), inverted as ``ceil(m / u)`` for u uniform
-  on (0, 1].
+* :func:`skip_length` — the size-1 skipping law that sample-count's
+  slots draw from.  A reservoir currently holding position m next
+  accepts with ``P(next > x) = m / x`` (survive positions m+1..x),
+  inverted as ``ceil(m / u)`` for u uniform on (0, 1].
 * :class:`ReservoirSample` — a classic size-k uniform
   without-replacement reservoir (Algorithm R with an Algorithm-L style
   geometric skip once the reservoir is full), used by the
-  naive-sampling tracker.
-
-Both are deterministic given their seed, which the tests exploit.
+  naive-sampling tracker.  It is deterministic given its seed, which
+  the tests exploit.
 """
 
 from __future__ import annotations
@@ -37,7 +35,6 @@ from repro.kernels import (
 )
 
 __all__ = [
-    "SingleReservoir",
     "ReservoirSample",
     "skip_length",
 ]
@@ -79,60 +76,6 @@ def skip_length(current: int, u: float) -> int:
     if not 0.0 < u <= 1.0:
         raise ValueError(f"u must be in (0, 1], got {u}")
     return max(current + 1, math.ceil(current / u))
-
-
-class SingleReservoir:
-    """A size-1 uniform reservoir over a stream of unknown length.
-
-    After ``offer``-ing n items, :attr:`item` is a uniformly random one
-    of them.  :meth:`next_accept_position` exposes the skipping draw so
-    callers (sample-count) can schedule replacements ahead of time
-    instead of offering every element.
-    """
-
-    __slots__ = ("_rng", "_count", "_item")
-
-    def __init__(self, seed: int | None = None):
-        self._rng = np.random.default_rng(seed)
-        self._count = 0
-        self._item = None
-
-    def offer(self, item) -> bool:
-        """Offer one stream element; returns True if it was accepted."""
-        self._count += 1
-        if self._count == 1 or self._rng.random() < 1.0 / self._count:
-            self._item = item
-            return True
-        return False
-
-    def next_accept_position(self) -> int:
-        """Draw the next (1-based) position this reservoir will accept.
-
-        Only meaningful once at least one element has been offered.
-        The internal count advances to the returned position minus one,
-        so the caller is expected to offer exactly that element next
-        (via :meth:`accept_scheduled`).
-        """
-        if self._count == 0:
-            raise ValueError("reservoir is empty; offer an element first")
-        nxt = skip_length(self._count, 1.0 - float(self._rng.random()))
-        self._count = nxt - 1
-        return nxt
-
-    def accept_scheduled(self, item) -> None:
-        """Install the element at the position promised by the skip draw."""
-        self._count += 1
-        self._item = item
-
-    @property
-    def item(self):
-        """The current sample (None before any offer)."""
-        return self._item
-
-    @property
-    def seen(self) -> int:
-        """Number of stream positions accounted for so far."""
-        return self._count
 
 
 class ReservoirSample:

@@ -31,6 +31,7 @@ from repro.cluster import (
     LocalCluster,
     ShardClient,
     ShardMergeUnsupportedError,
+    ShardProtocolError,
     ShardRequestError,
     ShardUnreachableError,
     build_store,
@@ -44,6 +45,7 @@ from repro.engine import (
     sharded_build,
 )
 from repro.service import SketchService, handle_request
+from repro.service.surface import handle_request_mapping
 from repro.store import SketchSpec, WindowedSketchStore
 
 MERGEABLE_KINDS = {
@@ -441,6 +443,163 @@ class TestClusterValidation:
             build_store({"bucket_width": 10})
         with pytest.raises(ClusterConfigError, match="invalid worker config"):
             build_store({"spec": {"kind": "tugofwar"}, "bucket_width": 0})
+
+
+class FaultyReplica(InProcessShard):
+    """An in-process replica that fails its next ``op`` with ``error``.
+
+    Between faults it answers like a worker behind a
+    :class:`ShardClient`: a refusal (``ok: false``) raises
+    :class:`ShardRequestError`.  ``ops`` logs every op it was sent.
+    """
+
+    def __init__(self, spec: SketchSpec, address: str):
+        super().__init__(spec)
+        self.address = address
+        self.fault = None
+        self.ops = []
+
+    def fail_next(self, op: str, error: Exception) -> None:
+        self.fault = (op, error)
+
+    def request(self, payload):
+        self.ops.append(payload["op"])
+        if self.fault is not None and self.fault[0] == payload["op"]:
+            error, self.fault = self.fault[1], None
+            raise error
+        response = handle_request_mapping(self._service, payload)
+        if not response["ok"]:
+            raise ShardRequestError(response["error"])
+        return response
+
+    def close(self) -> None:
+        pass
+
+
+class FaultyFleet:
+    """Replica sets of :class:`FaultyReplica`, addressed ``s<S>r<R>``.
+
+    Also a supervisor that spawns replica sets for :meth:`reshard`.
+    """
+
+    def __init__(self, spec: SketchSpec, num_shards: int, replication: int):
+        self.spec = spec
+        self.sets = [
+            [FaultyReplica(spec, f"s{s}r{r}") for r in range(replication)]
+            for s in range(num_shards)
+        ]
+        self.spawned = 0
+
+    def spawn_replica_set(self, replication):
+        self.spawned += 1
+        return [
+            FaultyReplica(self.spec, f"new{self.spawned}r{r}")
+            for r in range(replication or 1)
+        ]
+
+
+FAN_OUT_SPEC = SketchSpec("tugofwar", {"s1": 16, "s2": 3, "seed": 7})
+FAN_OUT_OPS = ["ingest", "compact", "evict", "stats", "restore"]
+
+
+def fan_out_call(op: str, snapshot):
+    """The cluster-wide call that fans ``op`` out to every replica."""
+    return {
+        "ingest": lambda service: service.ingest(np.arange(40), np.arange(40)),
+        "compact": lambda service: service.compact(),
+        "evict": lambda service: service.evict(20),
+        "stats": lambda service: service.stats(),
+        "restore": lambda service: service.restore(snapshot),
+    }[op]
+
+
+class TestFanOut:
+    """Every fan-out (ingest, compact, evict, stats, restore) classifies
+    replica failures by one rule, on a 2x2 fleet of in-process
+    replicas."""
+
+    @pytest.fixture()
+    def faulty(self):
+        fleet = FaultyFleet(FAN_OUT_SPEC, num_shards=2, replication=2)
+        service = ClusterService(fleet.sets, supervisor=fleet)
+        service.ingest(np.arange(60), np.arange(60) * 7)
+        # Both shards hold data, so every op reaches both.
+        assert all(
+            replica.request({"op": "info"})["coverage"] is not None
+            for group in fleet.sets
+            for replica in group
+        )
+        yield fleet, service
+        service.close()
+
+    @pytest.mark.parametrize("op", FAN_OUT_OPS)
+    def test_unexpected_error_surfaces_after_classifying_every_replica(
+        self, faulty, op
+    ):
+        fleet, service = faulty
+        call = fan_out_call(op, service.snapshot())
+        fleet.sets[0][0].fail_next(op, ValueError("boom"))
+        fleet.sets[1][1].fail_next(op, ShardUnreachableError("gone"))
+        with pytest.raises(ValueError, match="boom"):
+            call(service)
+        # The unexpected error is raised before repair, and only after
+        # every replica's outcome was looked at.
+        assert service.failed_replicas == [(0, 1, "s1r1")]
+
+    @pytest.mark.parametrize("op", FAN_OUT_OPS)
+    def test_refusal_surfaces_after_repair(self, faulty, op):
+        fleet, service = faulty
+        call = fan_out_call(op, service.snapshot())
+        for replica in fleet.sets[0]:
+            replica.fail_next(op, ShardRequestError("refused"))
+        donor, hurt = fleet.sets[1]
+        hurt.fail_next(op, ShardProtocolError("ambiguous"))
+        with pytest.raises(ShardRequestError, match="refused"):
+            call(service)
+        # The suspect replica was restored from its peer's snapshot
+        # before the refusal surfaced.
+        assert service.failed_replicas == []
+        assert donor.ops[-1] == "snapshot"
+        assert hurt.ops[-2:] == [op, "restore"]
+        assert (
+            hurt.request({"op": "snapshot"})
+            == donor.request({"op": "snapshot"})
+        )
+
+    def test_quorum_tie_goes_to_fewest_strikes(self):
+        fleet = FaultyFleet(FAN_OUT_SPEC, num_shards=1, replication=2)
+        service = ClusterService(fleet.sets, read_mode="quorum")
+        try:
+            service.ingest([1, 2, 3], [4, 5, 6])
+            rogue, trusted = fleet.sets[0]
+            rogue.request({"op": "ingest", "timestamps": [5], "values": [9]})
+            service._epochs[0].sets[0][0].strikes = 1
+            expected = trusted.request({"op": "estimate", "from": 0, "until": 10})
+            assert service.estimate(0, 10) == expected["estimate"]
+            assert service.failed_replicas == []
+            assert rogue.ops[-1] == "restore"
+            assert (
+                rogue.request({"op": "snapshot"})
+                == trusted.request({"op": "snapshot"})
+            )
+        finally:
+            service.close()
+
+    def test_reshard_admits_new_sets_like_the_constructor(self):
+        fleet = FaultyFleet(FAN_OUT_SPEC, num_shards=1, replication=1)
+        service = ClusterService(fleet.sets, supervisor=fleet)
+        try:
+            assert service.reshard(2, replication=2, cutover=100) == 1
+            fleet.spec = SketchSpec("tugofwar", {"s1": 16, "s2": 3, "seed": 8})
+            with pytest.raises(
+                ClusterConfigError,
+                match=r"new epoch shard 0 replica 0 \(new3r0\) "
+                r"disagrees on spec: .* \(the cluster\)",
+            ):
+                service.reshard(2, cutover=200)
+            assert service.num_epochs == 2
+        finally:
+            service.close()
 
 
 class TestLocalClusterLifecycle:

@@ -5,7 +5,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.streams.reservoir import ReservoirSample, SingleReservoir, skip_length
+from repro.streams.reservoir import ReservoirSample, skip_length
 
 
 class TestSkipLength:
@@ -34,40 +34,6 @@ class TestSkipLength:
         draws = np.array([skip_length(m, 1.0 - rng.random()) for _ in range(20_000)])
         assert np.mean(draws > 30) == pytest.approx(10 / 30, abs=0.02)
         assert np.mean(draws > 100) == pytest.approx(0.1, abs=0.01)
-
-
-class TestSingleReservoir:
-    def test_first_offer_always_accepted(self):
-        r = SingleReservoir(seed=0)
-        assert r.offer("a") is True
-        assert r.item == "a"
-
-    def test_uniform_over_stream(self):
-        # Over many runs, the kept item of a 20-element stream is uniform.
-        counts = np.zeros(20)
-        for seed in range(4000):
-            r = SingleReservoir(seed=seed)
-            for i in range(20):
-                r.offer(i)
-            counts[r.item] += 1
-        freqs = counts / counts.sum()
-        assert np.all(np.abs(freqs - 0.05) < 0.02)
-
-    def test_skipping_matches_law(self):
-        r = SingleReservoir(seed=1)
-        r.offer("x")
-        for _ in range(9):
-            r.offer("y")
-        assert r.seen == 10
-        nxt = r.next_accept_position()
-        assert nxt >= 11
-        r.accept_scheduled("z")
-        assert r.item == "z"
-        assert r.seen == nxt
-
-    def test_next_accept_requires_nonempty(self):
-        with pytest.raises(ValueError, match="empty"):
-            SingleReservoir(seed=0).next_accept_position()
 
 
 class TestReservoirSample:

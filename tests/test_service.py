@@ -696,8 +696,19 @@ class TestFleetJoins:
             service.join_estimate("F", "G", 0, 10)
 
     def test_single_stream_refuses_join_keys(self):
-        with pytest.raises(TypeError, match="unkeyed store"):
-            make_service().join_estimate("F", "G", 0, 10)
+        # The relation names are positional: the refusal says what a
+        # join needs, not a ``key=`` argument the caller never wrote.
+        service = make_service()
+        calls = [
+            lambda: service.join_estimate("F", "G", 0, 10),
+            lambda: service.join_error_bound("F", "G", 0, 10),
+            lambda: service.at_window(0, 10).join_estimate("F", "G"),
+        ]
+        for call in calls:
+            with pytest.raises(TypeError, match="unkeyed store") as info:
+                call()
+            assert "keyed fleet, one key per relation" in str(info.value)
+            assert "key=" not in str(info.value)
 
     def test_at_window_drives_the_optimizer(self, rng):
         from repro.planner import JoinGraph, enumerate_greedy

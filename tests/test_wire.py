@@ -648,26 +648,11 @@ class TestFrameFuzz:
         version, opcode, flags, length = wire.unpack_header(header)
         assert version == 99 and opcode == 1 and length == 0
 
-    def test_decoder_incremental_byte_by_byte(self):
-        frames = (
-            wire.pack_frame(wire.OP_PING)
-            + wire.pack_frame(wire.OP_INFO, wire.encode_compact({"a": 1}))
-        )
-        decoder = wire.FrameDecoder()
-        seen = []
-        for i in range(len(frames)):
-            decoder.feed(frames[i:i + 1])
-            seen.extend(decoder.frames())
-        assert [f[1] for f in seen] == [wire.OP_PING, wire.OP_INFO]
-        assert decoder.pending_bytes == 0
-
-    def test_decoder_raises_after_parsing_good_prefix(self):
-        decoder = wire.FrameDecoder()
-        decoder.feed(wire.pack_frame(wire.OP_PING) + b"garbage-not-magic")
-        drained = list(
-            frame for frame in _drain_until_error(decoder)
-        )
-        assert drained[0][1] == wire.OP_PING
+    def test_read_frame_raises_after_parsing_good_prefix(self):
+        stream = io.BytesIO(wire.pack_frame(wire.OP_PING) + b"garbage-not-magic")
+        assert wire.read_frame(stream)[1] == wire.OP_PING
+        with pytest.raises(wire.FrameFormatError, match="magic"):
+            wire.read_frame(stream)
 
     def test_blocking_read_frame_truncated_payload(self):
         import io
@@ -680,13 +665,6 @@ class TestFrameFuzz:
         import io
 
         assert wire.read_frame(io.BytesIO(b"")) is None
-
-
-def _drain_until_error(decoder):
-    try:
-        yield from decoder.frames()
-    except wire.FrameFormatError:
-        return
 
 
 # ----------------------------------------------------------------------
@@ -815,11 +793,10 @@ class TestHandleFrame:
 
 
 def _parse_one(frame_bytes: bytes):
-    decoder = wire.FrameDecoder()
-    decoder.feed(frame_bytes)
-    frames = list(decoder.frames())
-    assert len(frames) == 1 and decoder.pending_bytes == 0
-    return frames[0]
+    stream = io.BytesIO(frame_bytes)
+    frame = wire.read_frame(stream)
+    assert frame is not None and stream.read() == b""
+    return frame
 
 
 # ----------------------------------------------------------------------
